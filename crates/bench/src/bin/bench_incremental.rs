@@ -27,7 +27,7 @@
 //! fully certified incremental pipeline runs once per thread count
 //! (default 1/4/8, override with `--threads 1,2`), and per-handler
 //! verdicts, true wall-clock, and the portfolio counters (races,
-//! workers, shared clauses, cubes) go to `BENCH_PR7.json`. The run
+//! workers, cubes) go to `BENCH_PR7.json`. The run
 //! exits nonzero if any thread count changes a verdict, leaves an
 //! `UNKNOWN`, or fails to certify an Unsat answer. Detected hardware
 //! parallelism is recorded in the artifact — on a single-core host the
@@ -36,13 +36,13 @@
 //!
 //! With `--simplify` it measures the word-level static-analysis pass
 //! (known-bits/interval abstract interpretation, fact-directed
-//! rewriting, cone-of-influence reduction): the pipeline runs four
-//! certified columns — {oneshot, incremental} x {simplify off, on} —
-//! and per-handler clause counts, rewrite/discharge counters, and
-//! timings go to `BENCH_PR9.json`. Hard failures: a Sat<->Unsat flip
-//! between columns, an uncertified Unsat, no aggregate oneshot clause
-//! reduction, and (full runs) a reduction below 25% or zero statically
-//! discharged queries.
+//! rewriting, cone-of-influence reduction), which runs on oneshot
+//! queries only: the oneshot pipeline runs two certified columns —
+//! simplify off and on — and per-handler clause counts,
+//! rewrite/discharge counters, and timings go to `BENCH_PR9.json`.
+//! Hard failures: a Sat<->Unsat flip between columns, an uncertified
+//! Unsat, no aggregate oneshot clause reduction, and (full runs) a
+//! reduction below 25% or zero statically discharged queries.
 //!
 //! With `--bmc` it benchmarks the bounded-model-checking phase instead
 //! of the handler proofs: the full `hk-bmc` harness registry (page
@@ -144,8 +144,6 @@ struct Measurement {
     check_time: Duration,
     races: u64,
     race_workers: u64,
-    clauses_exported: u64,
-    clauses_imported: u64,
     cubes_total: u64,
     cubes_solved: u64,
     simplify_time: Duration,
@@ -183,8 +181,6 @@ fn measure(report: &HandlerReport) -> Measurement {
         check_time: report.phases.proof_check_time,
         races: report.phases.races,
         race_workers: report.phases.race_workers,
-        clauses_exported: report.phases.clauses_exported,
-        clauses_imported: report.phases.clauses_imported,
         cubes_total: report.phases.cubes_total,
         cubes_solved: report.phases.cubes_solved,
         simplify_time: report.phases.simplify_time,
@@ -517,7 +513,6 @@ fn run_parallel_bench(
             json.push_str(&format!(
                 "        \"{}\": {{\"total_ms\": {:.3}, \"solve_ms\": {:.3}, \
                  \"verdict\": \"{}\", \"races\": {}, \"race_workers\": {}, \
-                 \"clauses_exported\": {}, \"clauses_imported\": {}, \
                  \"cubes_total\": {}, \"cubes_solved\": {}, \
                  \"unsat_queries\": {}, \"certified_unsat\": {}}}{}\n",
                 p.name,
@@ -526,8 +521,6 @@ fn run_parallel_bench(
                 p.verdict,
                 p.races,
                 p.race_workers,
-                p.clauses_exported,
-                p.clauses_imported,
                 p.cubes_total,
                 p.cubes_solved,
                 p.unsat_queries,
@@ -538,11 +531,10 @@ fn run_parallel_bench(
         let sum_ms: f64 = m.iter().map(|x| ms(x.total)).sum();
         let races: u64 = m.iter().map(|x| x.races).sum();
         let cubes: u64 = m.iter().map(|x| x.cubes_solved).sum();
-        let shared: u64 = m.iter().map(|x| x.clauses_imported).sum();
         json.push_str(&format!(
             "      }},\n      \"wall_ms\": {:.3},\n      \"handler_sum_ms\": {sum_ms:.3},\n      \
              \"speedup_vs_t1\": {:.3},\n      \"races\": {races},\n      \
-             \"clauses_imported\": {shared},\n      \"cubes_solved\": {cubes}\n    }}{}\n",
+             \"cubes_solved\": {cubes}\n    }}{}\n",
             ms(*wall),
             ms(base.2) / ms(*wall).max(1e-6),
             if r + 1 < rows.len() { "," } else { "" }
@@ -572,13 +564,14 @@ fn run_parallel_bench(
 }
 
 /// The `--simplify` axis: the word-level static-analysis pass on vs
-/// off, across both pipeline shapes, everything certified (so every
-/// Unsat — including statically discharged queries, which certification
-/// re-proves through the SAT path — carries a checked DRAT proof).
-/// Hard failures: any Sat<->Unsat flip between columns, an uncertified
-/// Unsat, simplify-on not reducing aggregate oneshot clauses, and (full
-/// runs) missing the >=25% oneshot clause-reduction floor or failing to
-/// statically discharge a single query.
+/// off in the oneshot pipeline (the only one that runs it), everything
+/// certified (so every Unsat — including statically discharged queries,
+/// which certification re-proves through the SAT path — carries a
+/// checked DRAT proof). Hard failures: any Sat<->Unsat flip between
+/// columns, an uncertified Unsat, simplify-on not reducing aggregate
+/// oneshot clauses, and (full runs) missing the >=25% oneshot
+/// clause-reduction floor or failing to statically discharge a single
+/// query.
 fn run_simplify_bench(
     image: &KernelImage,
     params: KernelParams,
@@ -587,24 +580,21 @@ fn run_simplify_bench(
     smoke: bool,
 ) {
     println!(
-        "word-level simplification benchmark over {} handler(s), certified, cold cache\n",
+        "word-level simplification benchmark over {} handler(s), oneshot, certified, cold cache\n",
         handlers.len()
     );
     let (os_off, osf_wall) = run(image, params, handlers, false, false, true, 1, false);
     let (os_on, osn_wall) = run(image, params, handlers, false, false, true, 1, true);
-    let (inc_off, inf_wall) = run(image, params, handlers, true, false, true, 1, false);
-    let (inc_on, inn_wall) = run(image, params, handlers, true, false, true, 1, true);
     let mut failed = false;
     println!(
-        "{:<18} {:>12} {:>12} {:>8} {:>12} {:>12} {:>9} {:>6}",
-        "handler", "1shot off", "1shot on", "clause%", "incr off", "incr on", "rewrites", "disch"
+        "{:<18} {:>12} {:>12} {:>8} {:>9} {:>6}",
+        "handler", "1shot off", "1shot on", "clause%", "rewrites", "disch"
     );
     let mut json = String::from("{\n  \"handlers\": {\n");
     for i in 0..os_off.len() {
-        let (oo, on, io, inn) = (&os_off[i], &os_on[i], &inc_off[i], &inc_on[i]);
+        let (oo, on) = (&os_off[i], &os_on[i]);
         check_verdicts(oo, on, "simplify (oneshot)");
-        check_verdicts(io, inn, "simplify (incremental)");
-        for m in [oo, on, io, inn] {
+        for m in [oo, on] {
             if m.certified_unsat != m.unsat_queries {
                 eprintln!(
                     "FAIL: {} certified only {}/{} unsat answers",
@@ -615,15 +605,13 @@ fn run_simplify_bench(
         }
         let clause_pct = pct(on.cnf_clauses as f64, oo.cnf_clauses.max(1) as f64);
         println!(
-            "{:<18} {:>10.1}ms {:>10.1}ms {:>7.1}% {:>10.1}ms {:>10.1}ms {:>9} {:>6}",
+            "{:<18} {:>10.1}ms {:>10.1}ms {:>7.1}% {:>9} {:>6}",
             oo.name,
             ms(oo.total),
             ms(on.total),
             clause_pct,
-            ms(io.total),
-            ms(inn.total),
-            on.simplify_rewrites + inn.simplify_rewrites,
-            on.statically_discharged + inn.statically_discharged
+            on.simplify_rewrites,
+            on.statically_discharged
         );
         let col = |m: &Measurement, out: &mut String| {
             out.push_str(&format!(
@@ -653,10 +641,6 @@ fn run_simplify_bench(
         col(oo, &mut json);
         json.push_str(", \"oneshot_on\": ");
         col(on, &mut json);
-        json.push_str(", \"incremental_off\": ");
-        col(io, &mut json);
-        json.push_str(", \"incremental_on\": ");
-        col(inn, &mut json);
         json.push_str(&format!(
             ", \"oneshot_clause_delta_pct\": {clause_pct:.3}}}{}\n",
             if i + 1 < os_off.len() { "," } else { "" }
@@ -665,47 +649,30 @@ fn run_simplify_bench(
     let csum = |v: &[Measurement]| -> u64 { v.iter().map(|m| m.cnf_clauses as u64).sum() };
     let tsum = |v: &[Measurement]| -> f64 { v.iter().map(|m| ms(m.total)).sum() };
     let (oo_cl, on_cl) = (csum(&os_off), csum(&os_on));
-    let (io_cl, in_cl) = (csum(&inc_off), csum(&inc_on));
     let clause_reduction_pct = (1.0 - on_cl as f64 / oo_cl.max(1) as f64) * 100.0;
-    let discharged: u64 = os_on
-        .iter()
-        .chain(inc_on.iter())
-        .map(|m| m.statically_discharged)
-        .sum();
-    let rewrites: u64 = os_on
-        .iter()
-        .chain(inc_on.iter())
-        .map(|m| m.simplify_rewrites)
-        .sum();
+    let discharged: u64 = os_on.iter().map(|m| m.statically_discharged).sum();
+    let rewrites: u64 = os_on.iter().map(|m| m.simplify_rewrites).sum();
     let coi: u64 = os_on.iter().map(|m| m.simplify_coi_dropped).sum();
     json.push_str(&format!(
         "  }},\n  \"aggregate\": {{\n    \"oneshot_off_clauses\": {oo_cl},\n    \
          \"oneshot_on_clauses\": {on_cl},\n    \"oneshot_clause_reduction_pct\": \
-         {clause_reduction_pct:.3},\n    \"incremental_off_clauses\": {io_cl},\n    \
-         \"incremental_on_clauses\": {in_cl},\n    \"oneshot_off_total_ms\": {:.3},\n    \
-         \"oneshot_on_total_ms\": {:.3},\n    \"incremental_off_total_ms\": {:.3},\n    \
-         \"incremental_on_total_ms\": {:.3},\n    \"oneshot_off_wall_ms\": {:.3},\n    \
-         \"oneshot_on_wall_ms\": {:.3},\n    \"incremental_off_wall_ms\": {:.3},\n    \
-         \"incremental_on_wall_ms\": {:.3},\n    \"rewrites\": {rewrites},\n    \
+         {clause_reduction_pct:.3},\n    \"oneshot_off_total_ms\": {:.3},\n    \
+         \"oneshot_on_total_ms\": {:.3},\n    \"oneshot_off_wall_ms\": {:.3},\n    \
+         \"oneshot_on_wall_ms\": {:.3},\n    \"rewrites\": {rewrites},\n    \
          \"coi_dropped\": {coi},\n    \"statically_discharged\": {discharged}\n  }},\n  \
          \"config\": {{\"smoke\": {smoke}, \"handlers\": {}, \"threads\": 1, \"certify\": true, \
          \"max_conflicts\": {MAX_CONFLICTS}, \"max_solve_ms\": {MAX_SOLVE_MS}, {}}}\n}}\n",
         tsum(&os_off),
         tsum(&os_on),
-        tsum(&inc_off),
-        tsum(&inc_on),
         ms(osf_wall),
         ms(osn_wall),
-        ms(inf_wall),
-        ms(inn_wall),
         handlers.len(),
-        features_json(true, false, true, false, true)
+        features_json(false, false, true, false, true)
     ));
     println!(
         "\naggregate oneshot clauses: {oo_cl} off vs {on_cl} on \
          ({clause_reduction_pct:.1}% reduction)"
     );
-    println!("aggregate incremental clauses: {io_cl} off vs {in_cl} on");
     println!(
         "{rewrites} rewrites, {coi} conjuncts COI-dropped, {discharged} queries statically discharged"
     );
@@ -933,7 +900,7 @@ fn main() {
     let handlers: &[Sysno] = match &only {
         Some(v) => v,
         None if smoke => &SMOKE_HANDLERS,
-        // The simplify comparison runs four certified columns, so it
+        // The simplify comparison runs certified oneshot columns, so it
         // uses the same budget-friendly subset as the certify axis.
         None if certify_mode || simplify_mode => &CERTIFY_HANDLERS,
         None => &FIG7_HANDLERS,

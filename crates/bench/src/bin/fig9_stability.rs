@@ -100,13 +100,6 @@ fn main() {
             },
         ),
         (
-            "A/B: chrono backtrack",
-            SatConfig {
-                chrono_backtrack: true,
-                ..SatConfig::default()
-            },
-        ),
-        (
             "A/B: no inprocessing",
             SatConfig {
                 inprocessing: false,

@@ -213,15 +213,10 @@ impl VerifyReport {
         let races: u64 = self.handlers.iter().map(|h| h.phases.races).sum();
         if races > 0 {
             let workers: u64 = self.handlers.iter().map(|h| h.phases.race_workers).sum();
-            let shared: u64 = self
-                .handlers
-                .iter()
-                .map(|h| h.phases.clauses_imported)
-                .sum();
             let cubes: u64 = self.handlers.iter().map(|h| h.phases.cubes_solved).sum();
             let _ = writeln!(
                 out,
-                "portfolio: {races} races across {workers} workers, {shared} clauses imported, {cubes} cubes solved"
+                "portfolio: {races} races across {workers} workers, {cubes} cubes solved"
             );
         }
         let rewrites: u64 = self
@@ -269,7 +264,6 @@ impl VerifyReport {
     ///   "parallel": { "races": 2, "race_workers": 7,
     ///                 "wins": { "base": 1, "flip-reduce": 0, "invert-phase": 1,
     ///                           "no-restarts": 0, "cube": 0 },
-    ///                 "clauses_exported": 310, "clauses_imported": 280,
     ///                 "cubes_total": 8, "cubes_solved": 8 },
     ///   "simplify": { "terms": 5200, "rewrites": 140, "bits_pinned": 96,
     ///                 "conjuncts_before": 210, "conjuncts_after": 180,
@@ -370,16 +364,8 @@ impl VerifyReport {
             sat[0], sat[1], sat[2], sat[3], sat[4], sat[5], sat[6], sat[7]
         );
         let par = self.handlers.iter().fold(
-            (
-                0u64,
-                0u64,
-                [0u64; hk_smt::STRATEGY_NAMES.len()],
-                0u64,
-                0u64,
-                0u64,
-                0u64,
-            ),
-            |(r, w, mut wins, ex, im, ct, cs), h| {
+            (0u64, 0u64, [0u64; hk_smt::STRATEGY_NAMES.len()], 0u64, 0u64),
+            |(r, w, mut wins, ct, cs), h| {
                 let p = &h.phases;
                 for (t, v) in wins.iter_mut().zip(p.race_wins.iter()) {
                     *t += v;
@@ -388,8 +374,6 @@ impl VerifyReport {
                     r + p.races,
                     w + p.race_workers,
                     wins,
-                    ex + p.clauses_exported,
-                    im + p.clauses_imported,
                     ct + p.cubes_total,
                     cs + p.cubes_solved,
                 )
@@ -403,15 +387,12 @@ impl VerifyReport {
         let _ = writeln!(
             out,
             "  \"parallel\": {{ \"races\": {}, \"race_workers\": {}, \"wins\": {{ {} }}, \
-             \"clauses_exported\": {}, \"clauses_imported\": {}, \"cubes_total\": {}, \
-             \"cubes_solved\": {} }},",
+             \"cubes_total\": {}, \"cubes_solved\": {} }},",
             par.0,
             par.1,
             wins_json.join(", "),
             par.3,
-            par.4,
-            par.5,
-            par.6
+            par.4
         );
         let simp = self
             .handlers
@@ -473,8 +454,8 @@ impl VerifyReport {
                  \"sat\": {{ \"restarts\": {}, \"db_reductions\": {}, \"learnts_removed\": {}, \
                  \"scope_gc_clauses\": {}, \"probe_units\": {}, \"subsumed\": {}, \
                  \"strengthened\": {}, \"escalations\": {} }}, \
-                 \"parallel\": {{ \"races\": {}, \"race_workers\": {}, \"clauses_exported\": {}, \
-                 \"clauses_imported\": {}, \"cubes_total\": {}, \"cubes_solved\": {} }}, \
+                 \"parallel\": {{ \"races\": {}, \"race_workers\": {}, \"cubes_total\": {}, \
+                 \"cubes_solved\": {} }}, \
                  \"simplify\": {{ \"terms\": {}, \"rewrites\": {}, \"bits_pinned\": {}, \
                  \"conjuncts_before\": {}, \"conjuncts_after\": {}, \"coi_dropped\": {}, \
                  \"statically_discharged\": {}, \"time_s\": {:.6} }} }}",
@@ -512,8 +493,6 @@ impl VerifyReport {
                 h.phases.escalations,
                 h.phases.races,
                 h.phases.race_workers,
-                h.phases.clauses_exported,
-                h.phases.clauses_imported,
                 h.phases.cubes_total,
                 h.phases.cubes_solved,
                 h.phases.simplify_terms,
@@ -597,8 +576,6 @@ fn emit_finished(
             races: p.races,
             workers: p.race_workers,
             wins: p.race_wins,
-            clauses_exported: p.clauses_exported,
-            clauses_imported: p.clauses_imported,
             cubes_total: p.cubes_total,
             cubes_solved: p.cubes_solved,
         });

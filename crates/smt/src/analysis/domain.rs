@@ -486,31 +486,26 @@ pub const MULTI_ORIGIN: u32 = u32::MAX;
 
 /// Which seeded facts one analysis run may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SeedView {
+pub enum SeedView<'v> {
     /// Every seeded fact applies: checking the whole active conjunction
     /// for a contradiction (nothing is rewritten, so circularity is not
     /// a concern).
     Full,
-    /// Rewriting one conjunct: facts from that conjunct (`exclude`),
-    /// facts owned by several conjuncts, and facts from scopes deeper
-    /// than `max_level` are hidden. The level cut keeps base-level
-    /// (permanent) clauses from absorbing facts out of popped scopes.
+    /// Rewriting one conjunct: facts from the conjuncts in `hidden` (the
+    /// conjunct itself, plus any it must not be rewritten by) and facts
+    /// owned by several conjuncts are hidden.
     Rewriting {
-        /// The conjunct currently being rewritten, if it contributed
-        /// facts of its own.
-        exclude: Option<u32>,
-        /// Highest scope level whose facts are visible (base = 0).
-        max_level: u32,
+        /// Origins whose facts this rewrite may not use.
+        hidden: &'v [u32],
     },
 }
 
-impl SeedView {
-    fn admits(self, origin: u32, level: u32) -> bool {
+impl SeedView<'_> {
+    /// Whether a fact from `origin` is visible in this view.
+    pub(super) fn admits(self, origin: u32) -> bool {
         match self {
             SeedView::Full => true,
-            SeedView::Rewriting { exclude, max_level } => {
-                origin != MULTI_ORIGIN && Some(origin) != exclude && level <= max_level
-            }
+            SeedView::Rewriting { hidden } => origin != MULTI_ORIGIN && !hidden.contains(&origin),
         }
     }
 }
@@ -520,8 +515,6 @@ impl SeedView {
 pub struct SeedBv {
     /// Conjunct index the constraint came from (or [`MULTI_ORIGIN`]).
     pub origin: u32,
-    /// Scope level of the asserting conjunct (base = 0).
-    pub level: u32,
     /// The constraint itself.
     pub abs: AbsBv,
 }
@@ -531,15 +524,13 @@ pub struct SeedBv {
 pub struct SeedBool {
     /// Conjunct index the fact came from (or [`MULTI_ORIGIN`]).
     pub origin: u32,
-    /// Scope level of the asserting conjunct (base = 0).
-    pub level: u32,
     /// The forced value.
     pub value: bool,
 }
 
 /// Seeded constraints: what asserted facts say about specific terms.
-/// Every entry carries the conjunct it came from and that conjunct's
-/// scope level, so a [`SeedView`] can hide facts a rewrite must not use.
+/// Every entry carries the conjunct it came from, so a [`SeedView`] can
+/// hide facts a rewrite must not use.
 #[derive(Debug, Default, Clone)]
 pub struct Seeds {
     /// Range/bit constraints on bit-vector terms.
@@ -553,30 +544,22 @@ pub struct Seeds {
 
 impl Seeds {
     /// Adds (meets) a bit-vector constraint from conjunct `origin`.
-    pub fn constrain_bv(&mut self, t: TermId, origin: u32, level: u32, c: AbsBv) {
+    pub fn constrain_bv(&mut self, t: TermId, origin: u32, c: AbsBv) {
         match self.bv.get_mut(&t) {
             Some(e) => {
                 e.abs = e.abs.meet(&c);
                 if e.origin != origin {
                     e.origin = MULTI_ORIGIN;
                 }
-                e.level = e.level.max(level);
             }
             None => {
-                self.bv.insert(
-                    t,
-                    SeedBv {
-                        origin,
-                        level,
-                        abs: c,
-                    },
-                );
+                self.bv.insert(t, SeedBv { origin, abs: c });
             }
         }
     }
 
     /// Forces a boolean term's truth value from conjunct `origin`.
-    pub fn constrain_bool(&mut self, t: TermId, origin: u32, level: u32, v: bool) {
+    pub fn constrain_bool(&mut self, t: TermId, origin: u32, v: bool) {
         match self.bools.get_mut(&t) {
             Some(e) => {
                 if e.value != v {
@@ -585,47 +568,39 @@ impl Seeds {
                 if e.origin != origin {
                     e.origin = MULTI_ORIGIN;
                 }
-                e.level = e.level.max(level);
             }
             None => {
-                self.bools.insert(
-                    t,
-                    SeedBool {
-                        origin,
-                        level,
-                        value: v,
-                    },
-                );
+                self.bools.insert(t, SeedBool { origin, value: v });
             }
         }
     }
 
     /// Harvests constraints from one asserted conjunct. `positive`
     /// starts true; `Not` flips it on the way down.
-    pub fn add_fact(&mut self, ctx: &Ctx, t: TermId, origin: u32, level: u32, positive: bool) {
-        self.constrain_bool(t, origin, level, positive);
+    pub fn add_fact(&mut self, ctx: &Ctx, t: TermId, origin: u32, positive: bool) {
+        self.constrain_bool(t, origin, positive);
         match ctx.data(t) {
-            TermData::Not(a) => self.add_fact(ctx, *a, origin, level, !positive),
+            TermData::Not(a) => self.add_fact(ctx, *a, origin, !positive),
             TermData::And(args) if positive => {
                 for &a in args.iter() {
-                    self.add_fact(ctx, a, origin, level, true);
+                    self.add_fact(ctx, a, origin, true);
                 }
             }
             TermData::Or(args) if !positive => {
                 for &a in args.iter() {
-                    self.add_fact(ctx, a, origin, level, false);
+                    self.add_fact(ctx, a, origin, false);
                 }
             }
             TermData::Cmp(op, a, b) => {
-                self.add_cmp_fact(ctx, *op, *a, *b, origin, level, positive);
+                self.add_cmp_fact(ctx, *op, *a, *b, origin, positive);
             }
             TermData::Eq(a, b) if positive => {
                 let (a, b) = (*a, *b);
                 if ctx.sort(a) != Sort::Bool {
                     if let Some(v) = ctx.const_value(b) {
-                        self.constrain_bv(a, origin, level, AbsBv::exact(ctx.width(a), v));
+                        self.constrain_bv(a, origin, AbsBv::exact(ctx.width(a), v));
                     } else if let Some(v) = ctx.const_value(a) {
-                        self.constrain_bv(b, origin, level, AbsBv::exact(ctx.width(b), v));
+                        self.constrain_bv(b, origin, AbsBv::exact(ctx.width(b), v));
                     }
                 }
             }
@@ -633,7 +608,6 @@ impl Seeds {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn add_cmp_fact(
         &mut self,
         ctx: &Ctx,
@@ -641,7 +615,6 @@ impl Seeds {
         a: TermId,
         b: TermId,
         origin: u32,
-        level: u32,
         positive: bool,
     ) {
         // Normalize to a positive unsigned bound: ¬(a < b) is b <= a,
@@ -666,7 +639,7 @@ impl Seeds {
                     if vb == 0 {
                         top.lo = 1; // empty: a < 0 is unsatisfiable
                     }
-                    self.constrain_bv(a, origin, level, top.normalize());
+                    self.constrain_bv(a, origin, top.normalize());
                 } else if let Some(va) = ctx.const_value(a) {
                     let mut tb = AbsBv::top(w);
                     tb.lo = va.saturating_add(1).min(mask(w));
@@ -674,17 +647,17 @@ impl Seeds {
                         tb.hi = 0;
                         tb.lo = 1; // empty: max < b is unsatisfiable
                     }
-                    self.constrain_bv(b, origin, level, tb.normalize());
+                    self.constrain_bv(b, origin, tb.normalize());
                 }
             }
             CmpOp::Ule => {
                 if let Some(vb) = ctx.const_value(b) {
                     top.hi = vb;
-                    self.constrain_bv(a, origin, level, top.normalize());
+                    self.constrain_bv(a, origin, top.normalize());
                 } else if let Some(va) = ctx.const_value(a) {
                     let mut tb = AbsBv::top(w);
                     tb.lo = va;
-                    self.constrain_bv(b, origin, level, tb.normalize());
+                    self.constrain_bv(b, origin, tb.normalize());
                 }
             }
             CmpOp::Slt | CmpOp::Sle => {}
@@ -697,7 +670,7 @@ impl Seeds {
 #[derive(Debug)]
 pub struct Analysis<'s> {
     seeds: &'s Seeds,
-    view: SeedView,
+    view: SeedView<'s>,
     values: HashMap<TermId, Abs>,
     /// A term's abstraction became empty, or a seed clashed with a
     /// computed value: the visible fact set is unsatisfiable.
@@ -708,7 +681,7 @@ pub struct Analysis<'s> {
 
 impl<'s> Analysis<'s> {
     /// Creates an analysis over the given seeds, restricted to `view`.
-    pub fn new(seeds: &'s Seeds, view: SeedView) -> Analysis<'s> {
+    pub fn new(seeds: &'s Seeds, view: SeedView<'s>) -> Analysis<'s> {
         Analysis {
             seeds,
             view,
@@ -752,7 +725,7 @@ impl<'s> Analysis<'s> {
             Abs::Bv(a) => {
                 let mut a = a;
                 if let Some(e) = self.seeds.bv.get(&t) {
-                    if self.view.admits(e.origin, e.level) {
+                    if self.view.admits(e.origin) {
                         a = a.meet(&e.abs);
                     }
                 }
@@ -763,7 +736,7 @@ impl<'s> Analysis<'s> {
             }
             Abs::Bool(b) => {
                 let seed = self.seeds.bools.get(&t).and_then(|e| {
-                    if self.view.admits(e.origin, e.level) {
+                    if self.view.admits(e.origin) {
                         Some(e.value)
                     } else {
                         None

@@ -10,12 +10,11 @@
 //! * [`coi`] — cone-of-influence reduction dropping asserted conjuncts
 //!   whose uninterpreted symbols never reach the goal.
 //!
-//! The entry points are [`simplify_query`] (oneshot: full rewrite +
-//! disjunct refutation + COI) and [`simplify_deltas`] (incremental:
-//! rewrites only not-yet-encoded assertions under scope-level
-//! visibility rules, never drops conjuncts). Both can report the whole
+//! The entry point is [`simplify_query`]: full rewrite, disjunct
+//! refutation and COI over a oneshot query. It can report the whole
 //! query *statically discharged* when the abstraction alone proves the
-//! active conjunction unsatisfiable.
+//! active conjunction unsatisfiable. Incremental sessions do not run
+//! the pass.
 
 pub mod coi;
 pub mod domain;
@@ -26,7 +25,7 @@ use std::collections::{HashMap, HashSet};
 use crate::term::{CmpOp, Ctx, Sort, TermData, TermId};
 
 use domain::{Analysis, SeedView, Seeds};
-use rewrite::{Facts, Rewriter};
+use rewrite::{Facts, RewriteStats, Rewriter};
 
 /// Origin tag for facts injected during disjunct refutation; any value
 /// distinct from real conjunct indices and [`domain::MULTI_ORIGIN`].
@@ -50,10 +49,10 @@ pub struct SimplifyStats {
 }
 
 impl SimplifyStats {
-    fn absorb_rewriter(&mut self, rw: &Rewriter<'_>) {
-        self.rewrites += rw.stats.rewrites;
-        self.bits_pinned += rw.stats.bits_pinned;
-        self.terms_visited += rw.stats.visited;
+    fn absorb_rewrite(&mut self, rw: &RewriteStats) {
+        self.rewrites += rw.rewrites;
+        self.bits_pinned += rw.bits_pinned;
+        self.terms_visited += rw.visited;
     }
 }
 
@@ -114,28 +113,52 @@ pub fn simplify_query(
     }
     stats.conjuncts_before = conjuncts.len() as u64;
 
-    // Harvest facts from every conjunct (everything is level 0 in a
-    // oneshot query: all clauses live and die together).
     let mut facts = Facts::default();
     for (i, &c) in conjuncts.iter().enumerate() {
-        facts.harvest(ctx, c, i as u32, 0);
+        facts.harvest(ctx, c, i as u32);
     }
 
-    // Rewrite each conjunct with its own facts hidden.
+    // Rewrite each conjunct with its own facts hidden. An equality whose
+    // substitution rewrote conjunct `i` must not itself be rewritten with
+    // `i`'s facts (see `rewrite`): each such pair hides `i` from the
+    // equality, which is then redone. Hidden sets only grow, so this
+    // ends.
+    let n = conjuncts.len();
+    let mut hidden: Vec<Vec<u32>> = (0..n as u32).map(|i| vec![i]).collect();
+    let mut rewritten: Vec<(TermId, RewriteStats, Vec<u32>)> = (0..n)
+        .map(|i| rewrite_conjunct(ctx, &facts, conjuncts[i], &hidden[i]))
+        .collect();
+    let mut todo: Vec<usize> = (0..n).collect();
+    loop {
+        let mut redo: Vec<usize> = Vec::new();
+        for &i in &todo {
+            let (_, _, used) = &rewritten[i];
+            for &e in used {
+                let e = e as usize;
+                if !hidden[e].contains(&(i as u32)) {
+                    hidden[e].push(i as u32);
+                    if !redo.contains(&e) {
+                        redo.push(e);
+                    }
+                }
+            }
+        }
+        if redo.is_empty() {
+            break;
+        }
+        for &e in &redo {
+            rewritten[e] = rewrite_conjunct(ctx, &facts, conjuncts[e], &hidden[e]);
+        }
+        todo = redo;
+    }
+
     let mut out: Vec<TermId> = Vec::new();
     let mut out_goal: Vec<bool> = Vec::new();
-    for (i, &c) in conjuncts.iter().enumerate() {
-        let mut rw = Rewriter::new(
-            &facts,
-            SeedView::Rewriting {
-                exclude: Some(i as u32),
-                max_level: 0,
-            },
-        );
-        let mut r = rw.rewrite(ctx, c);
-        stats.absorb_rewriter(&rw);
+    for (i, (r, rw_stats, _)) in rewritten.iter().enumerate() {
+        stats.absorb_rewrite(rw_stats);
+        let mut r = *r;
         if matches!(ctx.data(r), TermData::Or(_)) {
-            r = refute_disjuncts(ctx, &facts.seeds, r, 0, &mut stats);
+            r = refute_disjuncts(ctx, &facts.seeds, r, &mut stats);
         }
         match ctx.const_bool(r) {
             Some(false) => {
@@ -180,120 +203,38 @@ pub fn simplify_query(
     }
 }
 
-/// One group of assertions sharing a scope level, split into the part
-/// already encoded in the incremental engine and the pending delta.
-#[derive(Debug)]
-pub struct DeltaGroup {
-    /// Scope level: base = 0, k-th open scope = k + 1.
-    pub level: u32,
-    /// Assertions already turned into clauses (facts only; immutable).
-    pub encoded: Vec<TermId>,
-    /// Assertions awaiting encoding (rewritten by the pass).
-    pub pending: Vec<TermId>,
-}
-
-/// Result of simplifying the pending deltas of an incremental check.
-#[derive(Debug)]
-pub struct DeltaOutcome {
-    /// The abstraction proved the whole active set unsatisfiable.
-    pub discharged: bool,
-    /// Rewritten pending assertions, one list per input group, same
-    /// lengths as the inputs.
-    pub rewritten: Vec<Vec<TermId>>,
-    /// Run counters.
-    pub stats: SimplifyStats,
-}
-
-/// Simplifies the pending deltas of an incremental check.
-///
-/// Visibility is stratified by scope level: an assertion at level `l`
-/// is rewritten using only facts from levels `<= l` (outer scopes
-/// outlive inner ones, so those facts are guaranteed active whenever
-/// the rewritten clause's activation literal is). No conjunct is
-/// dropped — incremental base clauses are permanent and unguarded, so
-/// cone-of-influence reduction does not apply.
-pub fn simplify_deltas(ctx: &mut Ctx, groups: &[DeltaGroup]) -> DeltaOutcome {
-    let mut stats = SimplifyStats::default();
-
-    // Assign one origin per assertion across all groups and harvest.
-    let mut facts = Facts::default();
-    let mut origin = 0u32;
-    let mut pending_origins: Vec<Vec<u32>> = Vec::with_capacity(groups.len());
-    for g in groups {
-        for &a in &g.encoded {
-            facts.harvest(ctx, a, origin, g.level);
-            origin += 1;
-        }
-        let mut po = Vec::with_capacity(g.pending.len());
-        for &a in &g.pending {
-            facts.harvest(ctx, a, origin, g.level);
-            po.push(origin);
-            origin += 1;
-        }
-        pending_origins.push(po);
-    }
-    stats.conjuncts_before = u64::from(origin);
-
-    // Rewrite the pending deltas under per-level views.
-    let mut rewritten: Vec<Vec<TermId>> = Vec::with_capacity(groups.len());
-    let mut all_active: Vec<TermId> = Vec::new();
-    for g in groups {
-        all_active.extend_from_slice(&g.encoded);
-    }
-    for (gi, g) in groups.iter().enumerate() {
-        let mut outs = Vec::with_capacity(g.pending.len());
-        for (pi, &a) in g.pending.iter().enumerate() {
-            let mut rw = Rewriter::new(
-                &facts,
-                SeedView::Rewriting {
-                    exclude: Some(pending_origins[gi][pi]),
-                    max_level: g.level,
-                },
-            );
-            let mut r = rw.rewrite(ctx, a);
-            stats.absorb_rewriter(&rw);
-            if matches!(ctx.data(r), TermData::Or(_)) {
-                r = refute_disjuncts(ctx, &facts.seeds, r, g.level, &mut stats);
-            }
-            all_active.push(r);
-            outs.push(r);
-        }
-        rewritten.push(outs);
-    }
-
-    // Whole-active-set discharge check (encoded originals + rewritten
-    // pendings; every fact is visible here).
-    let discharged = all_active.iter().any(|&a| ctx.const_bool(a) == Some(false))
-        || conjunction_contradicts(ctx, &all_active, &mut stats);
-
-    stats.conjuncts_after = stats.conjuncts_before;
-    DeltaOutcome {
-        discharged,
-        rewritten,
-        stats,
-    }
+/// Rewrites conjunct `c` with the facts of the origins in `hidden` out
+/// of view. Returns the result, its counters, and the origins of the
+/// substitutions it applied.
+fn rewrite_conjunct(
+    ctx: &mut Ctx,
+    facts: &Facts,
+    c: TermId,
+    hidden: &[u32],
+) -> (TermId, RewriteStats, Vec<u32>) {
+    let mut rw = Rewriter::new(facts, SeedView::Rewriting { hidden });
+    let r = rw.rewrite(ctx, c);
+    (r, rw.stats, rw.used_substitutions().to_vec())
 }
 
 /// Refutes disjuncts of the `Or` conjunct `t` one at a time: a disjunct
-/// whose facts contradict the active facts (restricted to levels
-/// `<= level`) cannot hold in any model, so it is deleted from the
-/// disjunction. Returns the (possibly) shrunken disjunction.
-fn refute_disjuncts(
-    ctx: &mut Ctx,
-    seeds: &Seeds,
-    t: TermId,
-    level: u32,
-    stats: &mut SimplifyStats,
-) -> TermId {
+/// whose facts contradict the active facts cannot hold in any model, so
+/// it is deleted from the disjunction. Returns the (possibly) shrunken
+/// disjunction.
+fn refute_disjuncts(ctx: &mut Ctx, seeds: &Seeds, t: TermId, stats: &mut SimplifyStats) -> TermId {
     let TermData::Or(args) = ctx.data(t) else {
         return t;
     };
     let args: Vec<TermId> = args.to_vec();
-    let visible = visible_seeds(seeds, level);
     let mut survivors = Vec::with_capacity(args.len());
     for &d in &args {
-        let mut s2 = visible.clone();
-        s2.add_fact(ctx, d, REFUTE_ORIGIN, level, true);
+        // A clash already in `seeds` is the whole-conjunction check's to
+        // report; here it would refute every disjunct alike.
+        let mut s2 = Seeds {
+            conflict: false,
+            ..seeds.clone()
+        };
+        s2.add_fact(ctx, d, REFUTE_ORIGIN, true);
         let refuted = s2.conflict
             || s2.bv.values().any(|e| e.abs.is_empty())
             || cmp_pairs_contradict(ctx, &s2)
@@ -314,33 +255,13 @@ fn refute_disjuncts(
     ctx.or(&survivors)
 }
 
-/// Clones the seed entries visible at `level`, resetting the conflict
-/// flag (it may have been raised by an invisible entry).
-fn visible_seeds(seeds: &Seeds, level: u32) -> Seeds {
-    Seeds {
-        bv: seeds
-            .bv
-            .iter()
-            .filter(|(_, e)| e.level <= level)
-            .map(|(t, e)| (*t, *e))
-            .collect(),
-        bools: seeds
-            .bools
-            .iter()
-            .filter(|(_, e)| e.level <= level)
-            .map(|(t, e)| (*t, *e))
-            .collect(),
-        conflict: false,
-    }
-}
-
 /// Full-view contradiction check over a conjunction: harvests fresh
 /// facts from `conjuncts` and looks for an empty abstraction, a boolean
 /// fact asserted both ways, or a complementary comparison pair.
 fn conjunction_contradicts(ctx: &Ctx, conjuncts: &[TermId], stats: &mut SimplifyStats) -> bool {
     let mut seeds = Seeds::default();
     for (i, &c) in conjuncts.iter().enumerate() {
-        seeds.add_fact(ctx, c, i as u32, 0, true);
+        seeds.add_fact(ctx, c, i as u32, true);
     }
     if seeds.conflict || seeds.bv.values().any(|e| e.abs.is_empty()) {
         return true;
@@ -509,59 +430,5 @@ mod tests {
             SimplifyOutcome::Discharged(_) => {}
             other => panic!("expected discharge, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn incremental_deltas_rewrite_under_outer_facts() {
-        let mut ctx = Ctx::new();
-        let x = ctx.var("x", Sort::Bv(8));
-        let five = ctx.bv_const(8, 5);
-        let y = ctx.var("y", Sort::Bv(8));
-        let def = ctx.eq(x, five); // base, already encoded
-        let use_x = ctx.bv_add(x, y);
-        let seven = ctx.bv_const(8, 7);
-        let pending = ctx.ult(use_x, seven); // scope delta
-        let groups = vec![
-            DeltaGroup {
-                level: 0,
-                encoded: vec![def],
-                pending: vec![],
-            },
-            DeltaGroup {
-                level: 1,
-                encoded: vec![],
-                pending: vec![pending],
-            },
-        ];
-        let out = simplify_deltas(&mut ctx, &groups);
-        assert!(!out.discharged);
-        let expect_sum = ctx.bv_add(five, y);
-        let expect = ctx.ult(expect_sum, seven);
-        assert_eq!(out.rewritten[1], vec![expect]);
-    }
-
-    #[test]
-    fn base_delta_ignores_scope_facts() {
-        let mut ctx = Ctx::new();
-        let x = ctx.var("x", Sort::Bv(8));
-        let five = ctx.bv_const(8, 5);
-        let scope_def = ctx.eq(x, five); // scoped fact: may pop later
-        let seven = ctx.bv_const(8, 7);
-        let base_pending = ctx.ult(x, seven); // base delta: permanent
-        let groups = vec![
-            DeltaGroup {
-                level: 0,
-                encoded: vec![],
-                pending: vec![base_pending],
-            },
-            DeltaGroup {
-                level: 1,
-                encoded: vec![scope_def],
-                pending: vec![],
-            },
-        ];
-        let out = simplify_deltas(&mut ctx, &groups);
-        // The base delta must NOT be folded using the scoped x = 5.
-        assert_eq!(out.rewritten[0], vec![base_pending]);
     }
 }

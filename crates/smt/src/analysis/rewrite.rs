@@ -8,28 +8,33 @@
 //! so a fact can never be used to delete itself.
 //!
 //! Soundness: rewriting conjunct `Cᵢ` into `Cᵢ'` uses only facts
-//! implied by the *other* conjuncts (and outer/base-level ones in the
-//! incremental case), so `⋀ⱼ≠ᵢ Cⱼ ⊨ (Cᵢ ↔ Cᵢ')`. Replacing every
-//! conjunct simultaneously preserves the models of the conjunction by
-//! induction on conjuncts: each single replacement keeps the
-//! conjunction equivalent, and equivalence of the whole conjunction is
-//! what every later replacement's side condition needs. The trap this
-//! scheme must (and does) avoid is two conjuncts deleting each other
-//! with each other's content: identical conjuncts are deduplicated
-//! before harvest, and a fact asserted by more than one conjunct is
-//! demoted to [`MULTI_ORIGIN`], which the rewriting view hides.
+//! implied by the *other* conjuncts, so `⋀ⱼ≠ᵢ Cⱼ ⊨ (Cᵢ ↔ Cᵢ')`. That
+//! alone does not make replacing every conjunct at once sound: two
+//! conjuncts can each be rewritten with the fact the other carries, and
+//! then neither fact survives. Three rules close that trap:
+//!
+//! * identical conjuncts are deduplicated before harvest;
+//! * a seed asserted by more than one conjunct is demoted to
+//!   [`super::domain::MULTI_ORIGIN`], which the rewriting view hides,
+//!   so no two conjuncts rewrite each other through facts on one term;
+//! * substitution is the one rewrite that moves a constraint from one
+//!   term to another. An equality whose substitution rewrote conjunct
+//!   `Cᵢ` is itself rewritten with `Cᵢ`'s facts hidden (the caller
+//!   reads [`Rewriter::used_substitutions`] and iterates to a
+//!   fixpoint). Without this rule `x = y ∧ x = 5` became
+//!   `y = 5 ∧ y = 5` and lost `x`; with it the result is
+//!   `x = y ∧ y = 5`, one defining conjunct per variable.
 
 use std::collections::HashMap;
 
 use crate::term::{Ctx, Sort, TermData, TermId};
 
-use super::domain::{Analysis, SeedView, Seeds, MULTI_ORIGIN};
+use super::domain::{Analysis, SeedView, Seeds};
 
 /// One oriented equality substitution.
 #[derive(Debug, Clone, Copy)]
 struct SubstEntry {
     origin: u32,
-    level: u32,
     to: TermId,
 }
 
@@ -48,8 +53,8 @@ pub struct Facts {
 
 impl Facts {
     /// Harvests seeds and substitutions from one conjunct.
-    pub fn harvest(&mut self, ctx: &Ctx, t: TermId, origin: u32, level: u32) {
-        self.seeds.add_fact(ctx, t, origin, level, true);
+    pub fn harvest(&mut self, ctx: &Ctx, t: TermId, origin: u32) {
+        self.seeds.add_fact(ctx, t, origin, true);
         if let TermData::Eq(a, b) = ctx.data(t) {
             let (a, b) = (*a, *b);
             if ctx.sort(a) == Sort::Bool {
@@ -72,24 +77,17 @@ impl Facts {
                 // Keep the first orientation for a key; a clashing
                 // second equality still lands in the seeds, where the
                 // meet exposes any contradiction.
-                self.subst
-                    .entry(from)
-                    .or_insert(SubstEntry { origin, level, to });
+                self.subst.entry(from).or_insert(SubstEntry { origin, to });
             }
         }
     }
 
-    fn lookup(&self, view: SeedView, t: TermId) -> Option<TermId> {
+    /// The substitution for `t` visible in `view`, if any.
+    fn lookup(&self, view: SeedView<'_>, t: TermId) -> Option<SubstEntry> {
         let e = self.subst.get(&t)?;
         match view {
             SeedView::Full => None,
-            SeedView::Rewriting { exclude, max_level } => {
-                if e.origin != MULTI_ORIGIN && Some(e.origin) != exclude && e.level <= max_level {
-                    Some(e.to)
-                } else {
-                    None
-                }
-            }
+            SeedView::Rewriting { .. } => view.admits(e.origin).then_some(*e),
         }
     }
 }
@@ -108,21 +106,24 @@ pub struct RewriteStats {
 /// Rewrites terms bottom-up under one fixed [`SeedView`].
 pub struct Rewriter<'f> {
     facts: &'f Facts,
-    view: SeedView,
+    view: SeedView<'f>,
     analysis: Analysis<'f>,
     memo: HashMap<TermId, TermId>,
+    /// Origins of the substitutions applied so far, without repeats.
+    used: Vec<u32>,
     /// Counters accumulated across `rewrite` calls.
     pub stats: RewriteStats,
 }
 
 impl<'f> Rewriter<'f> {
     /// Creates a rewriter over `facts` restricted to `view`.
-    pub fn new(facts: &'f Facts, view: SeedView) -> Rewriter<'f> {
+    pub fn new(facts: &'f Facts, view: SeedView<'f>) -> Rewriter<'f> {
         Rewriter {
             facts,
             view,
             analysis: Analysis::new(&facts.seeds, view),
             memo: HashMap::new(),
+            used: Vec::new(),
             stats: RewriteStats::default(),
         }
     }
@@ -159,22 +160,37 @@ impl<'f> Rewriter<'f> {
         self.analysis.contradiction
     }
 
+    /// Origins of the equalities whose substitutions rewrote something.
+    pub fn used_substitutions(&self) -> &[u32] {
+        &self.used
+    }
+
+    /// The visible substitution for `t`, noting its origin as used.
+    fn substitute(&mut self, t: TermId) -> Option<TermId> {
+        let e = self.facts.lookup(self.view, t)?;
+        if !self.used.contains(&e.origin) {
+            self.used.push(e.origin);
+        }
+        Some(e.to)
+    }
+
     fn process(&mut self, ctx: &mut Ctx, n: TermId) -> TermId {
         let rebuilt = self.rebuild(ctx, n);
-        let substituted = self.chase_subst(if rebuilt != n {
+        let start = if rebuilt != n {
             // Both the original and the rebuilt node may be substitution
             // keys (compound keys are recorded pre-rewrite).
-            self.facts.lookup(self.view, n).unwrap_or(rebuilt)
+            self.substitute(n).unwrap_or(rebuilt)
         } else {
             rebuilt
-        });
+        };
+        let substituted = self.chase_subst(start);
         self.fold_by_abstraction(ctx, substituted)
     }
 
     /// Follows substitution chains (`x → y → c`); orientations strictly
     /// descend, so this terminates.
-    fn chase_subst(&self, mut t: TermId) -> TermId {
-        while let Some(next) = self.facts.lookup(self.view, t) {
+    fn chase_subst(&mut self, mut t: TermId) -> TermId {
+        while let Some(next) = self.substitute(t) {
             if next == t {
                 break;
             }
@@ -278,11 +294,8 @@ mod tests {
     use super::*;
     use crate::term::Sort;
 
-    fn rewriting_all() -> SeedView {
-        SeedView::Rewriting {
-            exclude: None,
-            max_level: u32::MAX,
-        }
+    fn rewriting_all() -> SeedView<'static> {
+        SeedView::Rewriting { hidden: &[] }
     }
 
     #[test]
@@ -295,7 +308,7 @@ mod tests {
         let sum = ctx.bv_add(x, y);
 
         let mut facts = Facts::default();
-        facts.harvest(&ctx, eq, 0, 0);
+        facts.harvest(&ctx, eq, 0);
         let mut rw = Rewriter::new(&facts, rewriting_all());
         let out = rw.rewrite(&mut ctx, sum);
         let expect = ctx.bv_add(five, y);
@@ -311,15 +324,9 @@ mod tests {
         let eq = ctx.eq(x, five);
 
         let mut facts = Facts::default();
-        facts.harvest(&ctx, eq, 7, 0);
+        facts.harvest(&ctx, eq, 7);
         // Rewriting the defining conjunct itself: nothing may change.
-        let mut rw = Rewriter::new(
-            &facts,
-            SeedView::Rewriting {
-                exclude: Some(7),
-                max_level: u32::MAX,
-            },
-        );
+        let mut rw = Rewriter::new(&facts, SeedView::Rewriting { hidden: &[7] });
         assert_eq!(rw.rewrite(&mut ctx, eq), eq);
         // Rewriting any other conjunct: the equality applies.
         let mut rw2 = Rewriter::new(&facts, rewriting_all());
@@ -336,7 +343,7 @@ mod tests {
         let weak = ctx.ult(x, hundred); // conjunct: x < 100
 
         let mut facts = Facts::default();
-        facts.harvest(&ctx, bound, 0, 0);
+        facts.harvest(&ctx, bound, 0);
         let mut rw = Rewriter::new(&facts, rewriting_all());
         assert_eq!(rw.rewrite(&mut ctx, weak), ctx.tru());
     }
@@ -364,10 +371,13 @@ mod tests {
         let e1 = ctx.eq(x, y); // orient: max(x,y) -> min(x,y)
         let e2 = ctx.eq(x.min(y), c); // lower var -> const
         let mut facts = Facts::default();
-        facts.harvest(&ctx, e1, 0, 0);
-        facts.harvest(&ctx, e2, 1, 0);
+        facts.harvest(&ctx, e1, 0);
+        facts.harvest(&ctx, e2, 1);
         let mut rw = Rewriter::new(&facts, rewriting_all());
         let hi = x.max(y);
         assert_eq!(rw.rewrite(&mut ctx, hi), c);
+        let mut used = rw.used_substitutions().to_vec();
+        used.sort_unstable();
+        assert_eq!(used, vec![0, 1], "both equalities of the chain applied");
     }
 }

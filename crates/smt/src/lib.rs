@@ -16,10 +16,10 @@
 //! * [`bitblast`] — terms to CNF via Tseitin encoding;
 //! * [`sat`] — a CDCL SAT solver (watched literals, VSIDS, 1UIP learning,
 //!   Luby restarts, phase saving, LBD-driven learnt-clause reduction,
-//!   chronological backtracking, root-level GC and inprocessing);
+//!   root-level GC and inprocessing);
 //! * [`parallel`] — intra-query parallelism: portfolio racing over
-//!   diverse solver configs, learnt-clause sharing, cube-and-conquer,
-//!   all under a core budget shared with the driver's thread pool;
+//!   diverse solver configs and cube-and-conquer, under a core budget
+//!   shared with the driver's thread pool;
 //! * [`model`] — counterexample models, the raw material for the verifier's
 //!   test-case generation (paper §2.4);
 //! * [`solver`] — the front door tying the pipeline together;
@@ -27,8 +27,8 @@
 //!   repeated `verify_all` runs reuse verdicts instead of re-solving;
 //! * [`analysis`] — word-level static analysis (known-bits + interval
 //!   abstract interpretation, fact-directed rewriting, cone-of-influence
-//!   reduction) that shrinks or outright discharges queries before
-//!   bit-blasting.
+//!   reduction) that shrinks or outright discharges oneshot queries
+//!   before bit-blasting.
 //!
 //! # Examples
 //!

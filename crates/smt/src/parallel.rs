@@ -1,5 +1,4 @@
-//! Intra-query parallel solving: portfolio racing, learnt-clause
-//! sharing, and cube-and-conquer.
+//! Intra-query parallel solving: portfolio racing and cube-and-conquer.
 //!
 //! The driver already spreads *handlers* across threads; this module
 //! spends idle cores *inside* a single hard query:
@@ -12,13 +11,9 @@
 //!   loop round, and stand down. The winning solver — proof stream,
 //!   learnt clauses, phases and all — replaces the caller's solver, so
 //!   an incremental session continues from the winner's state and a
-//!   certified run re-checks the winner's own DRAT stream.
-//! * **Learnt-clause sharing** — racing workers export low-LBD (glue)
-//!   learnts into a [`ClauseExchange`] and import each other's exports
-//!   at restart boundaries. Sharing is disabled while proof logging is
-//!   on: an imported lemma is RUP with respect to its *exporter's*
-//!   derivation, not the importer's stream, so it would poison the
-//!   importer's proof.
+//!   certified run re-checks the winner's own DRAT stream. Workers
+//!   exchange no clauses, so each proof stream is its worker's own
+//!   complete derivation.
 //! * **Cube-and-conquer** — part of the worker pool splits the query on
 //!   the probe's top-activity (VSIDS) variables into `2^k` cubes and
 //!   solves them as independent assumption jobs pulled from a shared
@@ -86,80 +81,6 @@ impl CoreBudget {
     }
 }
 
-/// A lock-light learnt-clause exchange between portfolio workers.
-///
-/// The buffer is append-only under a mutex taken briefly at export and
-/// at restart-boundary imports — never inside propagation — and each
-/// reader keeps its own cursor, so there is no per-clause reference
-/// counting or epoch machinery to get wrong.
-/// One exchange entry: `(exporting worker, glue, literals)`.
-type ExchangeEntry = (usize, u32, Arc<[i32]>);
-
-#[derive(Debug, Default)]
-pub struct ClauseExchange {
-    buf: Mutex<Vec<ExchangeEntry>>,
-    exported: AtomicU64,
-    imported: AtomicU64,
-}
-
-impl ClauseExchange {
-    /// An empty exchange.
-    pub fn new() -> ClauseExchange {
-        ClauseExchange::default()
-    }
-
-    /// Publishes one learnt clause (DIMACS literals) from worker
-    /// `from` with the given glue value.
-    pub(crate) fn export(&self, from: usize, lbd: u32, lits: &[i32]) {
-        self.exported.fetch_add(1, Ordering::Relaxed);
-        self.buf
-            .lock()
-            .unwrap()
-            .push((from, lbd, Arc::from(lits.to_vec())));
-    }
-
-    /// Fetches every clause published since `cursor` by workers other
-    /// than `reader`, advancing the cursor past the end of the buffer.
-    pub(crate) fn fetch(&self, reader: usize, cursor: &mut usize) -> Vec<(u32, Arc<[i32]>)> {
-        let buf = self.buf.lock().unwrap();
-        let start = (*cursor).min(buf.len());
-        *cursor = buf.len();
-        buf[start..]
-            .iter()
-            .filter(|(from, _, _)| *from != reader)
-            .map(|(_, lbd, lits)| (*lbd, lits.clone()))
-            .collect()
-    }
-
-    /// Notes that `n` fetched clauses were actually attached by an
-    /// importer (clauses already satisfied at the importer's root are
-    /// fetched but dropped).
-    pub(crate) fn note_imported(&self, n: u64) {
-        self.imported.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Clauses exported by all workers so far.
-    pub fn exported(&self) -> u64 {
-        self.exported.load(Ordering::Relaxed)
-    }
-
-    /// Clauses attached by importers so far.
-    pub fn imported(&self) -> u64 {
-        self.imported.load(Ordering::Relaxed)
-    }
-}
-
-/// A worker solver's link to the exchange: the shared buffer, this
-/// worker's identity (its own exports are filtered on fetch), a read
-/// cursor, and the export glue cutoff.
-#[derive(Debug, Clone)]
-pub(crate) struct ExchangeLink {
-    pub buf: Arc<ClauseExchange>,
-    pub id: usize,
-    pub cursor: usize,
-    pub glue_max: u32,
-}
-
 /// Portfolio strategy labels, indexed by the strategy id recorded in
 /// [`RaceReport::winner`] and the `race_wins` stats arrays.
 pub const STRATEGY_NAMES: [&str; 5] =
@@ -177,10 +98,6 @@ pub struct ParallelConfig {
     /// Conflicts granted to the sequential probe before a query is
     /// declared hard and raced. `0` races every query (test use).
     pub conflict_threshold: u64,
-    /// Learnts with glue (LBD) at or below this are shared between
-    /// workers; `0` disables sharing. Ignored (forced off) while proof
-    /// logging is on.
-    pub share_glue_max: u32,
     /// Split hard queries on this many top-VSIDS variables into `2^k`
     /// cube jobs; `0` disables cube-and-conquer.
     pub cube_split_vars: u32,
@@ -198,7 +115,6 @@ impl Default for ParallelConfig {
         ParallelConfig {
             workers: 4,
             conflict_threshold: 30_000,
-            share_glue_max: 4,
             cube_split_vars: 3,
             cube_only: false,
             budget: None,
@@ -234,10 +150,6 @@ pub struct RaceReport {
     /// Winning strategy index into [`STRATEGY_NAMES`], if any worker
     /// reached a verdict.
     pub winner: Option<usize>,
-    /// Clauses exported to the exchange by all workers.
-    pub clauses_exported: u64,
-    /// Clauses imported from the exchange by all workers.
-    pub clauses_imported: u64,
     /// Cube jobs generated (0 unless a cube team ran).
     pub cubes_total: u64,
     /// Cube jobs that reached a verdict.
@@ -315,7 +227,7 @@ fn make_cubes(sat: &SatSolver, assumptions: &[i32], k: u32) -> Vec<Vec<i32>> {
 /// Solves under `assumptions`, racing a portfolio when the query proves
 /// hard and the core budget has spare capacity. On return the caller's
 /// solver is the winning worker (or the base worker after an
-/// all-Unknown race), with all parallel hooks detached.
+/// all-Unknown race), with its cancel flag cleared.
 pub fn solve_maybe_racing(
     sat: &mut SatSolver,
     assumptions: &[i32],
@@ -377,14 +289,6 @@ pub fn solve_maybe_racing(
     }
     let has_cube_team = strategies.contains(&STRAT_CUBE);
     let proof_on = sat.proof().is_some();
-    // Sharing would poison per-worker DRAT streams (imported lemmas are
-    // not RUP in the importer's own derivation), so it is hard-gated on
-    // proof logging being off.
-    let exchange: Option<Arc<ClauseExchange>> = if cfg.share_glue_max > 0 && !proof_on {
-        Some(Arc::new(ClauseExchange::new()))
-    } else {
-        None
-    };
     let cancel = Arc::new(AtomicBool::new(false));
     let winner: Mutex<Option<(usize, SatOutcome)>> = Mutex::new(None);
     let next_cube = AtomicUsize::new(0);
@@ -409,9 +313,6 @@ pub fn solve_maybe_racing(
                 *w.config_mut() = variant_config(sat.config(), strat);
             }
             w.set_cancel(Some(cancel.clone()));
-            if let Some(x) = &exchange {
-                w.attach_exchange(x.clone(), idx, cfg.share_glue_max);
-            }
             let cubes = &cubes;
             let claim = &claim;
             let next_cube = &next_cube;
@@ -492,8 +393,6 @@ pub fn solve_maybe_racing(
         raced: true,
         workers: n as u64,
         winner: None,
-        clauses_exported: exchange.as_ref().map(|x| x.exported()).unwrap_or(0),
-        clauses_imported: exchange.as_ref().map(|x| x.imported()).unwrap_or(0),
         cubes_total: if has_cube_team { cubes.len() as u64 } else { 0 },
         cubes_solved: cubes_solved.load(Ordering::Relaxed),
         cube_certs: Vec::new(),
@@ -539,10 +438,9 @@ pub fn solve_maybe_racing(
             SatOutcome::Unknown
         }
     };
-    // The written-back solver must not keep stale race hooks: the cancel
-    // flag is set, and a later solve would instantly return Unknown.
+    // The written-back solver must not keep a stale cancel flag: it is
+    // set, and a later solve would instantly return Unknown.
     sat.set_cancel(None);
-    sat.detach_exchange();
     (outcome, report)
 }
 
@@ -561,27 +459,6 @@ mod tests {
         assert_eq!(b.try_acquire(5), 2);
         b.release(4);
         assert_eq!(b.available(), 4);
-    }
-
-    #[test]
-    fn exchange_filters_own_exports_and_tracks_cursor() {
-        let x = ClauseExchange::new();
-        x.export(0, 2, &[1, -2]);
-        x.export(1, 3, &[3, 4]);
-        x.export(0, 1, &[-5]);
-        let mut cur = 0;
-        let got = x.fetch(0, &mut cur);
-        assert_eq!(got.len(), 1);
-        assert_eq!(&*got[0].1, &[3, 4]);
-        assert_eq!(cur, 3);
-        // Nothing new: the cursor prevents re-imports.
-        assert!(x.fetch(0, &mut cur).is_empty());
-        x.export(1, 2, &[6, 7]);
-        let got = x.fetch(0, &mut cur);
-        assert_eq!(got.len(), 1);
-        assert_eq!(x.exported(), 4);
-        x.note_imported(2);
-        assert_eq!(x.imported(), 2);
     }
 
     #[test]

@@ -2,13 +2,14 @@
 //!
 //! Features: two-watched-literal propagation, first-UIP conflict analysis
 //! with clause minimization, exponential VSIDS variable activities,
-//! phase saving, Luby restarts, chronological backtracking for
-//! long-distance backjumps, and learnt-clause database reduction driven
-//! by LBD ("glue") quality scores on a Glucose-style conflict schedule
-//! (the pre-LBD activity-driven policy is still available through
-//! [`ReduceStrategy::Activity`]). The heuristic knobs are exposed through
-//! [`SatConfig`] so the Figure 9 stability experiment can sweep them
-//! (standing in for the paper's sweep over historic Z3 versions).
+//! phase saving, Luby restarts, and learnt-clause database reduction
+//! driven by LBD ("glue") quality scores on a Glucose-style conflict
+//! schedule (the pre-LBD activity-driven policy is still available
+//! through [`ReduceStrategy::Activity`]). Backjumps are always
+//! non-chronological, so trail levels only increase along the trail.
+//! The heuristic knobs are exposed through [`SatConfig`] so the
+//! Figure 9 stability experiment can sweep them (standing in for the
+//! paper's sweep over historic Z3 versions).
 //!
 //! Two maintenance passes keep a long-lived incremental solver healthy:
 //!
@@ -86,18 +87,6 @@ pub struct SatConfig {
     /// of the original clause count (MiniSat uses 1/3). Only used by
     /// [`ReduceStrategy::Activity`].
     pub learntsize_factor: f64,
-    /// Backtrack chronologically (to the previous level) instead of
-    /// backjumping when the jump would discard more than
-    /// `chrono_distance` levels. Off by default: on this workload's
-    /// hardest refinement queries (`sys_alloc_pdpt`) it reliably
-    /// prevents convergence at any `chrono_distance`, while its wins
-    /// elsewhere are modest. The machinery is kept correct and under
-    /// test (the differential matrix exercises it) as an opt-in knob
-    /// with an A/B row in `fig9_stability`.
-    pub chrono_backtrack: bool,
-    /// Minimum discarded-level count before chronological backtracking
-    /// kicks in.
-    pub chrono_distance: u32,
     /// Root-level inprocessing (subsumption, self-subsuming resolution,
     /// failed-literal probing) when the clause database has grown enough.
     pub inprocessing: bool,
@@ -122,8 +111,6 @@ impl Default for SatConfig {
             reduce_base: 2000,
             reduce_incr: 300,
             learntsize_factor: 1.0 / 3.0,
-            chrono_backtrack: false,
-            chrono_distance: 100,
             inprocessing: true,
             max_conflicts: None,
             max_solve_ms: None,
@@ -162,9 +149,6 @@ pub struct SatStats {
     /// Clauses reclaimed by root-level garbage collection
     /// ([`SatSolver::simplify`], notably after scope pops).
     pub gc_clauses: u64,
-    /// Conflicts resolved by chronological backtracking instead of a
-    /// long backjump.
-    pub chrono_backtracks: u64,
     /// Literals probed by failed-literal inprocessing.
     pub probed_literals: u64,
     /// Unit clauses learnt from failed literals.
@@ -255,10 +239,6 @@ pub struct SatSolver {
     /// Shared cancellation flag for portfolio racing: checked once per
     /// main-loop round; when set, the solve returns `Unknown` promptly.
     cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
-    /// Learnt-clause exchange link for portfolio racing (export at
-    /// learning, import at restart boundaries). Never set while proof
-    /// logging is on.
-    exchange: Option<crate::parallel::ExchangeLink>,
 }
 
 #[inline]
@@ -329,7 +309,6 @@ impl SatSolver {
             stats: SatStats::default(),
             proof: None,
             cancel: None,
-            exchange: None,
         }
     }
 
@@ -351,33 +330,6 @@ impl SatSolver {
         self.cancel = flag;
     }
 
-    /// Links this solver to a learnt-clause exchange as worker `id`.
-    /// Panics if proof logging is on: imported lemmas are RUP with
-    /// respect to the exporter's derivation, not this solver's stream,
-    /// so sharing under logging would produce uncheckable proofs.
-    pub fn attach_exchange(
-        &mut self,
-        buf: std::sync::Arc<crate::parallel::ClauseExchange>,
-        id: usize,
-        glue_max: u32,
-    ) {
-        assert!(
-            self.proof.is_none(),
-            "clause sharing is unsound under proof logging"
-        );
-        self.exchange = Some(crate::parallel::ExchangeLink {
-            buf,
-            id,
-            cursor: 0,
-            glue_max,
-        });
-    }
-
-    /// Unlinks this solver from any clause exchange.
-    pub fn detach_exchange(&mut self) {
-        self.exchange = None;
-    }
-
     /// The `k` unassigned variables with the highest VSIDS activity, as
     /// DIMACS variable numbers, excluding `skip` (assumption
     /// variables). Used to pick cube-split variables after a probe
@@ -394,77 +346,6 @@ impl SatSolver {
         });
         vars.truncate(k);
         vars.iter().map(|&v| v + 1).collect()
-    }
-
-    /// Imports clauses published to the exchange since the last import.
-    /// Called at restart boundaries with the trail at level 0. Returns
-    /// `false` when an import (with root simplification) yields the
-    /// empty clause or an immediate root conflict — the formula is
-    /// refuted. Only ever runs with proof logging off (enforced by
-    /// `attach_exchange`).
-    fn import_shared(&mut self) -> bool {
-        debug_assert_eq!(self.decision_level(), 0);
-        debug_assert!(self.proof.is_none());
-        let batch = {
-            let link = self.exchange.as_mut().expect("import without exchange");
-            let buf = link.buf.clone();
-            buf.fetch(link.id, &mut link.cursor)
-        };
-        if batch.is_empty() {
-            return true;
-        }
-        let mut accepted = 0u64;
-        for (lbd, lits) in &batch {
-            // Root-simplify against this solver's own level-0 trail:
-            // drop the clause if any literal is already true, strip the
-            // false ones. Workers share one CNF, so variables line up.
-            let mut kept: Vec<u32> = Vec::with_capacity(lits.len());
-            let mut satisfied = false;
-            for &l in lits.iter() {
-                let ul = lit_from_dimacs(l);
-                match self.value_lit(ul) {
-                    TRUE => {
-                        satisfied = true;
-                        break;
-                    }
-                    FALSE => {}
-                    _ => kept.push(ul),
-                }
-            }
-            if satisfied {
-                continue;
-            }
-            accepted += 1;
-            match kept.len() {
-                0 => {
-                    // Every literal false at the root: refuted.
-                    self.note_imported(accepted);
-                    return false;
-                }
-                1 => {
-                    self.enqueue(kept[0], NO_REASON);
-                    if self.propagate().is_some() {
-                        self.note_imported(accepted);
-                        return false;
-                    }
-                }
-                _ => {
-                    let lbd = (*lbd).clamp(1, kept.len() as u32);
-                    let cref = self.attach_clause(kept, true, lbd);
-                    self.bump_clause(cref);
-                }
-            }
-        }
-        self.note_imported(accepted);
-        true
-    }
-
-    fn note_imported(&self, n: u64) {
-        if n > 0 {
-            if let Some(link) = &self.exchange {
-                link.buf.note_imported(n);
-            }
-        }
     }
 
     /// Turns on binary-DRAT proof logging. Must be called before any
@@ -791,17 +672,11 @@ impl SatSolver {
                     }
                 }
             }
-            // Find the next trail literal to resolve on. Only
-            // current-level literals are resolution candidates: with
-            // chronological backtracking the top trail segment can also
-            // hold out-of-order survivors stamped at lower levels, and
-            // those are already collected into the learnt tail (their
-            // seen flag stays set until the end of analysis).
+            // Find the next trail literal to resolve on.
             loop {
                 index -= 1;
                 let l = self.trail[index];
-                let v = lit_var(l);
-                if self.seen[v] && self.level[v] >= self.decision_level() {
+                if self.seen[lit_var(l)] {
                     p = Some(l);
                     break;
                 }
@@ -863,22 +738,11 @@ impl SatSolver {
             return;
         }
         let lim = self.trail_lim[level as usize];
-        // Chronological backtracking stamps asserting literals with
-        // their true implication level, which can be far below the
-        // trail segment they physically occupy. A literal stamped at
-        // or below the target level is still implied there — its
-        // reason literals all sit at or below its own stamped level —
-        // so it survives the backtrack: it is compacted into the
-        // reopened segment and re-propagated, rather than unassigned
-        // and rediscovered (Nadel & Ryvchin, SAT'18).
-        let mut kept: Vec<u32> = Vec::new();
         for i in lim..self.trail.len() {
-            let l = self.trail[i];
-            let v = lit_var(l);
-            if self.level[v] <= level {
-                kept.push(l);
-                continue;
-            }
+            let v = lit_var(self.trail[i]);
+            // Levels only increase along the trail, so everything past
+            // the target level's limit was assigned above it.
+            debug_assert!(self.level[v] > level, "trail levels out of order");
             self.assigns[v] = UNDEF;
             self.reason[v] = NO_REASON;
             if self.heap_pos[v] < 0 {
@@ -886,7 +750,6 @@ impl SatSolver {
             }
         }
         self.trail.truncate(lim);
-        self.trail.extend_from_slice(&kept);
         self.trail_lim.truncate(level as usize);
         self.qhead = lim;
     }
@@ -1400,20 +1263,15 @@ impl SatSolver {
                         return SatOutcome::Unknown;
                     }
                 }
-                // With chronological backtracking the conflict may lie
-                // strictly below the current decision level (the clause's
-                // literals were all assigned at lower levels). Analysis
-                // counts literals at the *current* level, so first drop
-                // to the conflict's own level.
-                let confl_level = self.clauses[confl as usize]
-                    .lits
-                    .iter()
-                    .map(|&l| self.level[lit_var(l)])
-                    .max()
-                    .unwrap_or(0);
-                if confl_level < self.decision_level() {
-                    self.backtrack_to(confl_level);
-                }
+                // Propagation only runs on the current level's literals,
+                // so the conflict lies there too; analysis relies on it.
+                debug_assert!(
+                    self.clauses[confl as usize]
+                        .lits
+                        .iter()
+                        .any(|&l| self.level[lit_var(l)] == self.decision_level()),
+                    "conflict below the current decision level"
+                );
                 if self.decision_level() == 0 {
                     self.proof_log_empty();
                     self.ok = false;
@@ -1424,31 +1282,7 @@ impl SatSolver {
                     let lemma: Vec<i32> = learnt.iter().map(|&l| lit_to_dimacs(l)).collect();
                     pr.add_lemma(&lemma);
                 }
-                if let Some(x) = &self.exchange {
-                    // Export glue clauses (and all units) to racing
-                    // siblings. Length-capped: wide clauses cost more to
-                    // attach than they prune.
-                    if learnt.len() <= 32 && (learnt.len() == 1 || lbd <= x.glue_max) {
-                        let lemma: Vec<i32> = learnt.iter().map(|&l| lit_to_dimacs(l)).collect();
-                        x.buf.export(x.id, lbd.max(1), &lemma);
-                    }
-                }
-                // Chronological backtracking: when the backjump would
-                // discard a deep stretch of (likely still useful) levels,
-                // step back a single level instead. The asserting literal
-                // is implied there all the same. Unit lemmas always go to
-                // the root: they are enqueued without a reason clause and
-                // must not be mistaken for decisions at a nonzero level.
-                let target = if self.config.chrono_backtrack
-                    && learnt.len() > 1
-                    && self.decision_level() - bt > self.config.chrono_distance
-                {
-                    self.stats.chrono_backtracks += 1;
-                    self.decision_level() - 1
-                } else {
-                    bt
-                };
-                self.backtrack_to(target);
+                self.backtrack_to(bt);
                 if learnt.len() == 1 {
                     self.enqueue(learnt[0], NO_REASON);
                 } else {
@@ -1456,19 +1290,6 @@ impl SatSolver {
                     let cref = self.attach_clause(learnt, true, lbd);
                     self.bump_clause(cref);
                     self.enqueue(asserting, cref);
-                    // The asserting literal is implied at `bt` no matter
-                    // how far we actually backtracked. After a
-                    // chronological (one-level) step, `enqueue` stamped
-                    // it with the inflated current level; correct it, or
-                    // every later analysis, LBD, and backjump computed
-                    // through this variable inherits the inflation and
-                    // the search degenerates into cheap going-nowhere
-                    // conflicts. The machinery downstream knows about
-                    // the resulting out-of-order trail: `backtrack_to`
-                    // keeps survivors stamped at or below its target,
-                    // and `analyze` only resolves on current-level
-                    // literals when walking the top segment.
-                    self.level[lit_var(asserting)] = bt;
                 }
                 self.var_inc /= self.config.var_decay;
                 self.cla_inc /= self.config.clause_decay;
@@ -1481,13 +1302,6 @@ impl SatSolver {
                     conflicts_since_restart = 0;
                     self.stats.restarts += 1;
                     self.backtrack_to(0);
-                    // Restart boundaries are the one place the trail is
-                    // guaranteed back at the root: import what racing
-                    // siblings learnt since the last restart.
-                    if self.exchange.is_some() && !self.import_shared() {
-                        self.ok = false;
-                        return SatOutcome::Unsat;
-                    }
                 }
                 match self.config.reduce_strategy {
                     ReduceStrategy::Activity => {
@@ -2025,18 +1839,16 @@ mod tests {
     #[test]
     fn strategy_and_knob_matrix_agree() {
         // The same instances must get the same verdict under every
-        // combination of reduction strategy, restarts, and chrono.
-        for &(strategy, restarts, chrono) in &[
-            (ReduceStrategy::Activity, true, true),
-            (ReduceStrategy::Activity, false, false),
-            (ReduceStrategy::Lbd, true, false),
-            (ReduceStrategy::Lbd, false, true),
+        // combination of reduction strategy and restarts.
+        for &(strategy, restarts) in &[
+            (ReduceStrategy::Activity, true),
+            (ReduceStrategy::Activity, false),
+            (ReduceStrategy::Lbd, true),
+            (ReduceStrategy::Lbd, false),
         ] {
             let config = SatConfig {
                 reduce_strategy: strategy,
                 restarts,
-                chrono_backtrack: chrono,
-                chrono_distance: 1, // make chrono actually fire
                 ..SatConfig::default()
             };
             let mut s = SatSolver::with_config(config.clone());

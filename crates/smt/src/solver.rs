@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::ackermann::{Ackermann, AppInstance};
-use crate::analysis::{self, DeltaGroup, SimplifyOutcome};
+use crate::analysis::{self, SimplifyOutcome};
 use crate::bitblast::BitBlaster;
 use crate::cache::{self, CachedVerdict, QueryCache};
 use crate::cnf::Lit;
@@ -76,17 +76,18 @@ pub struct SolverConfig {
     /// same way a bogus model fails validation on the `Sat` side. Certify
     /// bypasses the query cache: a cached verdict has no proof to check.
     pub certify: bool,
-    /// Intra-query parallelism: portfolio racing, learnt-clause sharing
-    /// and cube-and-conquer for queries that outlast the probe
-    /// threshold. Inert unless a shared [`crate::parallel::CoreBudget`]
-    /// is installed (the driver does this when it has spare threads).
+    /// Intra-query parallelism: portfolio racing and cube-and-conquer
+    /// for queries that outlast the probe threshold. Inert unless a
+    /// shared [`crate::parallel::CoreBudget`] is installed (the driver
+    /// does this when it has spare threads).
     pub parallel: ParallelConfig,
     /// Word-level static analysis before bit-blasting: known-bits +
     /// interval abstract interpretation, fact-directed rewriting, and
-    /// (oneshot only) cone-of-influence reduction. Can return
-    /// [`SatResult::StaticallyDischarged`] when the abstraction alone
-    /// proves Unsat; under `certify` such queries are re-run through the
-    /// SAT path so every shipped Unsat stays DRAT-certified.
+    /// cone-of-influence reduction. Applies to oneshot checks only
+    /// (`incremental: false`); incremental sessions ignore it. Can
+    /// return [`SatResult::StaticallyDischarged`] when the abstraction
+    /// alone proves Unsat; under `certify` such queries are re-run
+    /// through the SAT path so every shipped Unsat stays DRAT-certified.
     pub simplify: bool,
 }
 
@@ -184,10 +185,6 @@ pub struct SolverStats {
     /// Race wins per strategy, indexed like
     /// [`crate::parallel::STRATEGY_NAMES`].
     pub race_wins: [u64; STRATEGY_NAMES.len()],
-    /// Learnt clauses exported to the exchange during this call's races.
-    pub clauses_exported: u64,
-    /// Learnt clauses imported from the exchange during this call's races.
-    pub clauses_imported: u64,
     /// Cube jobs generated by cube-and-conquer teams in this call.
     pub cubes_total: u64,
     /// Cube jobs that reached a verdict.
@@ -284,10 +281,6 @@ pub struct SolverTotals {
     /// Race wins per strategy, indexed like
     /// [`crate::parallel::STRATEGY_NAMES`].
     pub race_wins: [u64; STRATEGY_NAMES.len()],
-    /// Learnt clauses exported to exchanges.
-    pub clauses_exported: u64,
-    /// Learnt clauses imported from exchanges.
-    pub clauses_imported: u64,
     /// Cube jobs generated.
     pub cubes_total: u64,
     /// Cube jobs that reached a verdict.
@@ -357,8 +350,6 @@ impl SolverTotals {
         for (t, w) in self.race_wins.iter_mut().zip(s.race_wins.iter()) {
             *t += w;
         }
-        self.clauses_exported += s.clauses_exported;
-        self.clauses_imported += s.clauses_imported;
         self.cubes_total += s.cubes_total;
         self.cubes_solved += s.cubes_solved;
         self.encode_time += s.encode_time;
@@ -670,8 +661,6 @@ impl Solver {
         if let Some(s) = race.winner {
             stats.race_wins[s] += 1;
         }
-        stats.clauses_exported += race.clauses_exported;
-        stats.clauses_imported += race.clauses_imported;
         stats.cubes_total += race.cubes_total;
         stats.cubes_solved += race.cubes_solved;
     }
@@ -795,66 +784,21 @@ impl Solver {
                 proof_bytes_snap: 0,
             });
         }
-        // 0. Word-level static analysis over the pending deltas. Each
-        // not-yet-encoded assertion is rewritten under facts from its own
-        // and outer levels only — outer scopes outlive inner ones, so
-        // those facts are active whenever the rewritten clause's
-        // activation literal is assumed. A discharge returns early with
-        // the watermarks untouched: the pendings stay pending and are
-        // encoded verbatim by a later (certified or analysis-off) check.
-        let mut simplified_pending: Option<Vec<Vec<TermId>>> = None;
-        if self.config.simplify {
-            let encoded_base = self.engine.as_ref().map_or(0, |e| e.encoded_base);
-            let mut groups = vec![DeltaGroup {
-                level: 0,
-                encoded: self.assertions[..encoded_base].to_vec(),
-                pending: self.assertions[encoded_base..].to_vec(),
-            }];
-            for (si, s) in self.scopes.iter().enumerate() {
-                groups.push(DeltaGroup {
-                    level: (si + 1) as u32,
-                    encoded: s.assertions[..s.encoded].to_vec(),
-                    pending: s.assertions[s.encoded..].to_vec(),
-                });
-            }
-            let simp_start = Instant::now();
-            let out = analysis::simplify_deltas(ctx, &groups);
-            self.stats.simplify_time += simp_start.elapsed();
-            Self::absorb_simplify(&mut self.stats, &out.stats);
-            if out.discharged {
-                self.stats.statically_discharged += 1;
-                if !self.config.certify {
-                    return SatResult::StaticallyDischarged;
-                }
-                // Certify: fall through and solve the original pendings
-                // so the Unsat carries a checked proof.
-            } else {
-                simplified_pending = Some(out.rewritten);
-            }
-        }
         let encode_start = Instant::now();
         // 1. Ackermann-rewrite the assertions not yet encoded.
         let engine = self.engine.as_mut().expect("engine just installed");
-        let base_new: Vec<TermId> = match &simplified_pending {
-            Some(groups) => groups[0].clone(),
-            None => self.assertions[engine.encoded_base..].to_vec(),
-        };
-        engine.encoded_base = self.assertions.len();
-        let rewritten_base: Vec<TermId> = base_new
-            .into_iter()
-            .map(|t| engine.ack.rewrite(ctx, t))
+        let rewritten_base: Vec<TermId> = self.assertions[engine.encoded_base..]
+            .iter()
+            .map(|&t| engine.ack.rewrite(ctx, t))
             .collect();
+        engine.encoded_base = self.assertions.len();
         let mut rewritten_scoped: Vec<(usize, TermId)> = Vec::new();
-        for si in 0..self.scopes.len() {
-            let pending: Vec<TermId> = match &simplified_pending {
-                Some(groups) => groups[si + 1].clone(),
-                None => self.scopes[si].assertions[self.scopes[si].encoded..].to_vec(),
-            };
-            self.scopes[si].encoded = self.scopes[si].assertions.len();
-            for t in pending {
+        for (si, scope) in self.scopes.iter_mut().enumerate() {
+            for &t in &scope.assertions[scope.encoded..] {
                 let r = engine.ack.rewrite(ctx, t);
                 rewritten_scoped.push((si, r));
             }
+            scope.encoded = scope.assertions.len();
         }
         // Congruence constraints are consequences of the UF semantics
         // alone, so they are always asserted at the base level.
@@ -1604,7 +1548,8 @@ mod tests {
     }
 
     /// A contradiction the interval domain sees is discharged without
-    /// touching the SAT core, in both pipeline shapes.
+    /// touching the SAT core in a oneshot check; an incremental session
+    /// ignores `simplify` and refutes it through the SAT core.
     #[test]
     fn simplify_discharges_interval_contradiction() {
         for incremental in [false, true] {
@@ -1622,14 +1567,18 @@ mod tests {
             s.assert(&mut ctx, lt);
             s.assert(&mut ctx, gt);
             let r = s.check(&mut ctx);
-            assert!(
+            assert!(r.is_unsat(), "incremental={incremental}: got {r:?}");
+            let discharged = u64::from(!incremental);
+            assert_eq!(
                 matches!(r, SatResult::StaticallyDischarged),
-                "incremental={incremental}: expected discharge, got {r:?}"
+                !incremental,
+                "incremental={incremental}: got {r:?}"
             );
-            assert!(r.is_unsat());
-            assert_eq!(s.stats.statically_discharged, 1);
-            assert_eq!(s.stats.conflicts, 0, "SAT core must not have run");
-            assert_eq!(s.totals.statically_discharged, 1);
+            assert_eq!(s.stats.statically_discharged, discharged);
+            assert_eq!(s.totals.statically_discharged, discharged);
+            if !incremental {
+                assert_eq!(s.stats.conflicts, 0, "SAT core must not have run");
+            }
         }
     }
 
@@ -1638,32 +1587,30 @@ mod tests {
     /// is never returned.
     #[test]
     fn certify_reruns_discharged_queries() {
-        for incremental in [false, true] {
-            let mut ctx = Ctx::new();
-            let x = ctx.var("x", Sort::Bv(16));
-            let c5 = ctx.bv_const(16, 5);
-            let c10 = ctx.bv_const(16, 10);
-            let lt = ctx.ult(x, c5);
-            let gt = ctx.ult(c10, x);
-            let mut s = Solver::with_config(SolverConfig {
-                incremental,
-                simplify: true,
-                certify: true,
-                ..SolverConfig::default()
-            });
-            s.assert(&mut ctx, lt);
-            s.assert(&mut ctx, gt);
-            let r = s.check(&mut ctx);
-            assert!(
-                matches!(r, SatResult::Unsat),
-                "incremental={incremental}: expected certified Unsat, got {r:?}"
-            );
-            assert_eq!(s.stats.statically_discharged, 1);
-            assert_eq!(
-                s.stats.certified_unsat, 1,
-                "incremental={incremental}: discharge shipped without a checked proof"
-            );
-        }
+        let mut ctx = Ctx::new();
+        let x = ctx.var("x", Sort::Bv(16));
+        let c5 = ctx.bv_const(16, 5);
+        let c10 = ctx.bv_const(16, 10);
+        let lt = ctx.ult(x, c5);
+        let gt = ctx.ult(c10, x);
+        let mut s = Solver::with_config(SolverConfig {
+            incremental: false,
+            simplify: true,
+            certify: true,
+            ..SolverConfig::default()
+        });
+        s.assert(&mut ctx, lt);
+        s.assert(&mut ctx, gt);
+        let r = s.check(&mut ctx);
+        assert!(
+            matches!(r, SatResult::Unsat),
+            "expected certified Unsat, got {r:?}"
+        );
+        assert_eq!(s.stats.statically_discharged, 1);
+        assert_eq!(
+            s.stats.certified_unsat, 1,
+            "discharge shipped without a checked proof"
+        );
     }
 
     /// Satisfiable queries still come back Sat with a valid model when
@@ -1700,37 +1647,5 @@ mod tests {
             r => panic!("expected sat, got {r:?}"),
         }
         s.pop();
-    }
-
-    /// Incremental sessions keep answering correctly across scopes with
-    /// the pass enabled; a scoped contradiction discharges without
-    /// advancing the encode watermarks, and popping it recovers Sat.
-    #[test]
-    fn incremental_simplify_across_scopes() {
-        let mut ctx = Ctx::new();
-        let x = ctx.var("x", Sort::Bv(16));
-        let c5 = ctx.bv_const(16, 5);
-        let lt = ctx.ult(x, c5);
-        let mut s = Solver::with_config(SolverConfig {
-            simplify: true,
-            ..SolverConfig::default()
-        });
-        s.assert(&mut ctx, lt);
-        assert!(s.check(&mut ctx).is_sat());
-        s.push();
-        let ge5 = ctx.ule(c5, x);
-        s.assert(&mut ctx, ge5);
-        let r = s.check(&mut ctx);
-        assert!(
-            matches!(r, SatResult::StaticallyDischarged),
-            "expected scoped discharge, got {r:?}"
-        );
-        s.pop();
-        // The discharged pending assertion died with its scope; the
-        // session continues as if it was never encoded.
-        match s.check(&mut ctx) {
-            SatResult::Sat(m) => assert!(m.eval_bv(&ctx, x).unwrap_or(99) < 5),
-            r => panic!("expected sat after pop, got {r:?}"),
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! Tests for intra-query parallel solving: portfolio racing,
-//! cube-and-conquer, learnt-clause sharing, cancellation hygiene, and
-//! stats attribution under races.
+//! cube-and-conquer, cancellation hygiene, and stats attribution under
+//! races.
 //!
 //! * **Race-vs-sequential differential**: randomized CNF instances are
 //!   solved sequentially and by a forced 4-way race (conflict threshold
@@ -221,33 +221,6 @@ fn racing_agrees_with_sequential_and_certifies() {
     }
     assert!(raced_at_least_once);
     let _ = cube_wins; // timing-dependent; any split of wins is fine
-}
-
-/// Same differential with proof logging off and clause sharing on: the
-/// exchange path (export at learn, import at restart) must not change
-/// verdicts.
-#[test]
-fn racing_with_clause_sharing_agrees() {
-    let mut rng = XorShift64::new(0x005e_a50f);
-    for case in 0..12 {
-        let nvars = 24 + rng.below(16);
-        let nclauses = nvars * 4 + rng.below(nvars);
-        let clauses = random_cnf(&mut rng, nvars, nclauses);
-
-        let mut seq = load(&clauses, false);
-        let want = seq.solve();
-
-        let mut sat = load(&clauses, false);
-        let cfg = ParallelConfig {
-            share_glue_max: 6,
-            cube_split_vars: 0, // config racers only: all share
-            ..forced_race(8)
-        };
-        let (got, report) = solve_maybe_racing(&mut sat, &[], &cfg);
-        assert_eq!(got, want, "case {case}: shared-clause race disagrees");
-        assert!(report.raced, "case {case}: race did not start");
-        assert_eq!(sat.solve(), want, "case {case}: post-race re-solve broke");
-    }
 }
 
 /// The cube-only diagnostic mode must refute an unsatisfiable instance

@@ -1,7 +1,7 @@
 #[test]
 fn mutual_rewrite_loses_x_constraint() {
-    use smt::term::{Ctx, Sort};
-    use smt::analysis::{simplify_query, SimplifyOutcome};
+    use hk_smt::analysis::{simplify_query, SimplifyOutcome};
+    use hk_smt::term::{Ctx, Sort};
     let mut ctx = Ctx::new();
     let y = ctx.var("y", Sort::Bv(8));
     let x = ctx.var("x", Sort::Bv(8)); // x has the higher TermId
@@ -16,9 +16,13 @@ fn mutual_rewrite_loses_x_constraint() {
             }
             // soundness requires some surviving constraint on x
             let mentions_x = assertions.iter().any(|&a| {
-                fn has(ctx: &Ctx, t: smt::term::TermId, x: smt::term::TermId) -> bool {
-                    if t == x { return true; }
-                    smt::bitblast::term_children(ctx, t).into_iter().any(|c| has(ctx, c, x))
+                fn has(ctx: &Ctx, t: hk_smt::term::TermId, x: hk_smt::term::TermId) -> bool {
+                    if t == x {
+                        return true;
+                    }
+                    hk_smt::bitblast::term_children(ctx, t)
+                        .into_iter()
+                        .any(|c| has(ctx, c, x))
                 }
                 has(&ctx, a, x)
             });

@@ -2,7 +2,8 @@
 //!
 //! Two obligations, checked on randomly generated term DAGs biased
 //! toward the constructs the pass reasons hardest about (`Ite`,
-//! `Extract`, `Concat`, shifts):
+//! `Extract`, `Concat`, shifts), and on equalities that would rewrite
+//! each other (`x = y ∧ x = c`, `x = y ∧ y = x`, `x = t(y) ∧ y = s(x)`):
 //!
 //! * **Eval agreement**: `analysis::simplify_query` only rewrites a
 //!   conjunct using facts implied by the *other* conjuncts, so on any
@@ -10,8 +11,9 @@
 //!   conjunct must evaluate exactly like its original. (On assignments
 //!   falsifying some original the sets may legitimately differ — the
 //!   guarantee is conjunction-level equivalence, not term-level.)
-//! * **Verdict equality**: the full solver must answer identically with
-//!   the pass on and off, across oneshot/incremental pipelines and 1/2
+//! * **Verdict equality**: the full solver must answer identically in
+//!   the oneshot pipeline with the pass on and off and in the
+//!   incremental pipeline (which does not run the pass), across 1/2
 //!   worker configurations, and every Unsat under `certify` must come
 //!   back with a checked DRAT proof (`StaticallyDischarged` never
 //!   escapes a certified run).
@@ -168,6 +170,89 @@ fn gen_bool(ctx: &mut Ctx, rng: &mut XorShift64, v: &Vocab, depth: u32) -> TermI
     }
 }
 
+/// Two equalities that each rewrite the other when both are harvested
+/// as facts — `x = y ∧ x = c`, `x = y ∧ y = x`, or `x = t(y) ∧ y = s(x)`
+/// (variables in random order, each equality in random orientation) —
+/// plus the constants they mention, where their models tend to lie.
+fn gen_mutual_eqs(ctx: &mut Ctx, rng: &mut XorShift64, v: &Vocab) -> (Vec<TermId>, Vec<u64>) {
+    let (mut x, mut y) = (v.bv_vars[0].0, v.bv_vars[1].0);
+    if rng.chance(1, 2) {
+        std::mem::swap(&mut x, &mut y);
+    }
+    let mut pool = Vec::new();
+    let mut constant = |ctx: &mut Ctx, rng: &mut XorShift64| {
+        let c = rng.below(1 << WIDTH);
+        pool.push(c);
+        ctx.bv_const(WIDTH, c)
+    };
+    let sides = match rng.below(3) {
+        0 => {
+            let c = constant(ctx, rng);
+            [(x, y), (x, c)]
+        }
+        1 => [(x, y), (y, x)],
+        _ => {
+            let op = BIN_OPS[rng.below(BIN_OPS.len() as u64) as usize];
+            let c = constant(ctx, rng);
+            let t = ctx.bv_bin(op, y, c);
+            let op = BIN_OPS[rng.below(BIN_OPS.len() as u64) as usize];
+            let c = constant(ctx, rng);
+            let s = ctx.bv_bin(op, x, c);
+            [(x, t), (y, s)]
+        }
+    };
+    let pair = sides
+        .into_iter()
+        .map(|(a, b)| {
+            if rng.chance(1, 2) {
+                ctx.eq(a, b)
+            } else {
+                ctx.eq(b, a)
+            }
+        })
+        .collect();
+    (pair, pool)
+}
+
+/// The assertions of one case: up to `max_random` random conjuncts, or
+/// a mutual-equality pair with up to one random conjunct beside it.
+/// Also returns the constants worth sampling.
+fn gen_case(
+    ctx: &mut Ctx,
+    rng: &mut XorShift64,
+    v: &Vocab,
+    mutual: bool,
+    max_random: u64,
+) -> (Vec<TermId>, Vec<u64>) {
+    if !mutual {
+        let n = 1 + rng.below(max_random);
+        let assertions = (0..n).map(|_| gen_bool(ctx, rng, v, 4)).collect();
+        return (assertions, Vec::new());
+    }
+    let (mut assertions, pool) = gen_mutual_eqs(ctx, rng, v);
+    if rng.chance(1, 2) {
+        assertions.push(gen_bool(ctx, rng, v, 3));
+    }
+    (assertions, pool)
+}
+
+/// One point of the 2^17 domain: uniform, or with each bit-vector
+/// variable drawn from `pool` half the time, so that models of
+/// equalities with constants get sampled.
+fn sample_point(rng: &mut XorShift64, v: &Vocab, pool: &[u64]) -> u64 {
+    let mut point = rng.below(1 << (v.bv_vars.len() as u32 * WIDTH + 1));
+    if !pool.is_empty() {
+        for i in 0..v.bv_vars.len() as u32 {
+            if rng.chance(1, 2) {
+                let c = pool[rng.below(pool.len() as u64) as usize];
+                point &= !(((1 << WIDTH) - 1) << (i * WIDTH));
+                point |= c << (i * WIDTH);
+            }
+        }
+    }
+    point
+}
+
 /// The assignment `{x, y := bits, b := bit}` for one point of the
 /// 2^17 domain.
 fn assignment_at(v: &Vocab, point: u64) -> Assignment {
@@ -191,13 +276,11 @@ fn assignment_at(v: &Vocab, point: u64) -> Assignment {
 #[test]
 fn simplify_preserves_conjunction_semantics() {
     let mut rng = XorShift64::new(0x51a7);
-    for case in 0..192u64 {
+    // 192 random cases, then 64 around mutual equalities.
+    for case in 0..256u64 {
         let mut ctx = Ctx::new();
         let v = vocab(&mut ctx);
-        let n = 1 + rng.below(4);
-        let assertions: Vec<TermId> = (0..n)
-            .map(|_| gen_bool(&mut ctx, &mut rng, &v, 4))
-            .collect();
+        let (assertions, pool) = gen_case(&mut ctx, &mut rng, &v, case >= 192, 4);
         // COI off: dropped conjuncts would (soundly) weaken the
         // conjunction, which is exactly the case this oracle can't
         // score. The solver-level test below covers COI.
@@ -207,7 +290,7 @@ fn simplify_preserves_conjunction_semantics() {
             SimplifyOutcome::Simplified { assertions, .. } => Some(assertions),
         };
         for _ in 0..256 {
-            let point = rng.below(1 << (v.bv_vars.len() as u32 * WIDTH + 1));
+            let point = sample_point(&mut rng, &v, &pool);
             let asg = assignment_at(&v, point);
             let orig = assertions.iter().all(|&t| eval_bool(&ctx, t, &asg));
             match &simplified {
@@ -229,134 +312,73 @@ fn simplify_preserves_conjunction_semantics() {
     }
 }
 
-/// The full solver answers identically with the pass on and off, across
-/// pipeline shapes and worker counts; every Unsat under `certify`
-/// carries a checked proof.
+/// The full solver answers identically with the pass on and off in the
+/// oneshot pipeline and in the incremental one (which ignores it), at 1
+/// and 2 workers; every Unsat under `certify` carries a checked proof.
 #[test]
 fn verdicts_agree_with_simplify_on_and_off() {
+    // (incremental, simplify): incremental sessions never run the pass.
+    const SHAPES: [(bool, bool); 3] = [(false, false), (false, true), (true, false)];
     let mut rng = XorShift64::new(0xc01e);
-    for case in 0..48u64 {
+    // 48 random cases, then 16 around mutual equalities.
+    for case in 0..64u64 {
         let mut ctx = Ctx::new();
         let v = vocab(&mut ctx);
-        let n = 1 + rng.below(3);
-        let assertions: Vec<TermId> = (0..n)
-            .map(|_| gen_bool(&mut ctx, &mut rng, &v, 4))
-            .collect();
+        let (assertions, _) = gen_case(&mut ctx, &mut rng, &v, case >= 48, 3);
         let mut baseline: Option<bool> = None;
         for workers in [1usize, 2] {
-            for incremental in [false, true] {
-                for simplify in [false, true] {
-                    for certify in [false, true] {
-                        let parallel = ParallelConfig {
-                            workers,
-                            conflict_threshold: 0,
-                            budget: (workers > 1).then(|| Arc::new(CoreBudget::new(workers))),
-                            ..ParallelConfig::default()
-                        };
-                        let mut s = Solver::with_config(SolverConfig {
-                            incremental,
-                            simplify,
-                            certify,
-                            parallel,
-                            ..SolverConfig::default()
-                        });
-                        for &t in &assertions {
-                            s.assert(&mut ctx, t);
-                        }
-                        let r = s.check(&mut ctx);
-                        if certify {
-                            assert!(
-                                !matches!(r, SatResult::StaticallyDischarged),
-                                "case {case}: StaticallyDischarged escaped a certified run"
-                            );
-                            assert_eq!(
-                                s.stats.certified_unsat, s.stats.unsat_queries,
-                                "case {case}: Unsat left uncertified \
-                                 (incremental={incremental} simplify={simplify})"
-                            );
-                        }
-                        let sat = match r {
-                            SatResult::Sat(m) => {
-                                for &t in &assertions {
-                                    assert!(
-                                        eval_bool(&ctx, t, &m.assignment),
-                                        "case {case}: model fails an original assertion \
-                                         (incremental={incremental} simplify={simplify})"
-                                    );
-                                }
-                                true
+            for (incremental, simplify) in SHAPES {
+                for certify in [false, true] {
+                    let parallel = ParallelConfig {
+                        workers,
+                        conflict_threshold: 0,
+                        budget: (workers > 1).then(|| Arc::new(CoreBudget::new(workers))),
+                        ..ParallelConfig::default()
+                    };
+                    let mut s = Solver::with_config(SolverConfig {
+                        incremental,
+                        simplify,
+                        certify,
+                        parallel,
+                        ..SolverConfig::default()
+                    });
+                    for &t in &assertions {
+                        s.assert(&mut ctx, t);
+                    }
+                    let r = s.check(&mut ctx);
+                    if certify {
+                        assert!(
+                            !matches!(r, SatResult::StaticallyDischarged),
+                            "case {case}: StaticallyDischarged escaped a certified run"
+                        );
+                        assert_eq!(
+                            s.stats.certified_unsat, s.stats.unsat_queries,
+                            "case {case}: Unsat left uncertified \
+                             (incremental={incremental} simplify={simplify})"
+                        );
+                    }
+                    let sat = match r {
+                        SatResult::Sat(m) => {
+                            for &t in &assertions {
+                                assert!(
+                                    eval_bool(&ctx, t, &m.assignment),
+                                    "case {case}: model fails an original assertion \
+                                     (incremental={incremental} simplify={simplify})"
+                                );
                             }
-                            SatResult::Unsat | SatResult::StaticallyDischarged => false,
-                            SatResult::Unknown => panic!("case {case}: unexpected unknown"),
-                        };
-                        match baseline {
-                            None => baseline = Some(sat),
-                            Some(b) => assert_eq!(
-                                b, sat,
-                                "case {case}: verdict flipped (workers={workers} \
-                                 incremental={incremental} simplify={simplify} \
-                                 certify={certify})"
-                            ),
+                            true
                         }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Incremental sessions with scopes: push/pop sequences answer the same
-/// with the pass on and off, including checks that discharge statically.
-#[test]
-fn scoped_sessions_agree_with_simplify_on_and_off() {
-    let mut rng = XorShift64::new(0x5c0e);
-    for case in 0..24u64 {
-        let mut ctx = Ctx::new();
-        let v = vocab(&mut ctx);
-        let mut plain = Solver::with_config(SolverConfig {
-            simplify: false,
-            ..SolverConfig::default()
-        });
-        let mut simp = Solver::with_config(SolverConfig {
-            simplify: true,
-            ..SolverConfig::default()
-        });
-        let ops = 12 + rng.below(8);
-        let mut depth = 0u32;
-        for _ in 0..ops {
-            match rng.below(8) {
-                0..=3 => {
-                    let t = gen_bool(&mut ctx, &mut rng, &v, 3);
-                    plain.assert(&mut ctx, t);
-                    simp.assert(&mut ctx, t);
-                }
-                4 => {
-                    plain.push();
-                    simp.push();
-                    depth += 1;
-                }
-                5 => {
-                    if depth > 0 {
-                        plain.pop();
-                        simp.pop();
-                        depth -= 1;
-                    }
-                }
-                _ => {
-                    let a = plain.check(&mut ctx);
-                    let b = simp.check(&mut ctx);
-                    assert_eq!(
-                        a.is_sat(),
-                        b.is_sat(),
-                        "case {case}: scoped verdicts diverge (plain {a:?} vs simplified {b:?})"
-                    );
-                    if let SatResult::Sat(m) = &b {
-                        for &t in &plain.active_assertions() {
-                            assert!(
-                                eval_bool(&ctx, t, &m.assignment),
-                                "case {case}: simplified model fails an active assertion"
-                            );
-                        }
+                        SatResult::Unsat | SatResult::StaticallyDischarged => false,
+                        SatResult::Unknown => panic!("case {case}: unexpected unknown"),
+                    };
+                    match baseline {
+                        None => baseline = Some(sat),
+                        Some(b) => assert_eq!(
+                            b, sat,
+                            "case {case}: verdict flipped (workers={workers} \
+                             incremental={incremental} simplify={simplify} \
+                             certify={certify})"
+                        ),
                     }
                 }
             }
