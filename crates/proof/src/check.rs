@@ -6,7 +6,8 @@
 //! RUP-checked only if some later check used it as an antecedent — the
 //! rest of the proof is dead weight and is skipped, which is both the
 //! classic performance trick and the *trimming* output: the marked core
-//! is exactly the part of the proof the refutation needs.
+//! is exactly the part of the proof the refutation needs. The walk stops
+//! as soon as no marked lemma is left below it.
 //!
 //! A RUP (reverse unit propagation) check of clause `C` asserts the
 //! negation of every literal of `C` on top of the persistent root trail
@@ -26,10 +27,25 @@
 //! calls), while lemmas may only use *earlier* lemmas — the backward
 //! pass deactivates each lemma before checking it, which rules out
 //! circular justification structurally.
+//!
+//! **Sessions.** An incremental solver certifies many answers from one
+//! append-only stream, so [`SessionChecker`] keeps its work between
+//! calls: each call checks that the bytes it consumed before are a
+//! byte-exact prefix of the new stream (otherwise it starts over with
+//! nothing remembered), parses and forward-replays only the appended
+//! steps, and skips the RUP check of every lemma an earlier successful
+//! call verified. The memo is sound because the prefix is unchanged:
+//! the clauses active at a verified lemma's step are the same as before
+//! plus any inputs the suffix added, and RUP is monotone in the clause
+//! set. Equivalently, every lemma a successful call verifies is implied
+//! by that call's inputs, and later calls only add inputs. A failed call
+//! forgets everything, so the memo never holds a lemma whose antecedents
+//! went unchecked. [`check_proof`] is the one-call case.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 
-use crate::parse::{parse_proof, StepKind};
+use crate::parse::{decode_step, StepKind};
 use crate::ProofError;
 
 const UNDEF: u8 = 2;
@@ -49,9 +65,10 @@ pub struct CheckOutcome {
     pub lemmas: usize,
     /// Deletion (`d`) steps.
     pub deletions: usize,
-    /// Lemmas on the verified core (each RUP-checked).
+    /// Core lemmas this call verified. A fresh check verifies the whole
+    /// core; a session call skips lemmas an earlier call verified.
     pub core_lemmas: usize,
-    /// Input clauses the core derivation uses.
+    /// Input clauses this call's RUP checks used.
     pub core_inputs: usize,
     /// The certified final clause (sorted), i.e. the last lemma of the
     /// stream. Empty means the inputs were refuted outright; non-empty
@@ -60,8 +77,9 @@ pub struct CheckOutcome {
 }
 
 impl CheckOutcome {
-    /// Fraction of the lemmas the refutation actually used; `1.0 -
-    /// trim_ratio()` is the share of the proof that trimming discards.
+    /// Fraction of the lemmas this call verified; for a fresh check,
+    /// `1.0 - trim_ratio()` is the share of the proof that trimming
+    /// discards.
     pub fn trim_ratio(&self) -> f64 {
         if self.lemmas == 0 {
             0.0
@@ -79,6 +97,12 @@ struct CClause {
     w0: i32,
     w1: i32,
     active: bool,
+    /// Retired by a deletion step of the stream: inactive at its end.
+    deleted: bool,
+    /// RUP-verified at its step by a successful call (lemmas only).
+    verified: bool,
+    /// Byte offset of the step that added the clause.
+    offset: usize,
     /// Bumped on every reactivation; watch entries with an older stamp
     /// are stale and dropped lazily.
     gen: u32,
@@ -145,6 +169,10 @@ struct Checker {
     dirty: bool,
     mark: Vec<u32>,
     stamp: u32,
+    /// Core lemmas below the backward walk still awaiting a check.
+    pending: usize,
+    /// Input clauses marked core in this call.
+    core_inputs: usize,
 }
 
 impl Checker {
@@ -159,7 +187,7 @@ impl Checker {
         }
     }
 
-    fn new_clause(&mut self, lits: Vec<i32>, input: bool, tautology: bool) -> u32 {
+    fn new_clause(&mut self, lits: Vec<i32>, input: bool, tautology: bool, offset: usize) -> u32 {
         self.reserve(&lits);
         let cref = self.clauses.len() as u32;
         self.clauses.push(CClause {
@@ -167,6 +195,9 @@ impl Checker {
             w0: 0,
             w1: 0,
             active: true,
+            deleted: false,
+            verified: false,
+            offset,
             gen: 0,
             core: false,
             input,
@@ -215,6 +246,44 @@ impl Checker {
             gen,
             blocker: a,
         });
+    }
+
+    /// Forgets the previous call's backward pass: every clause not
+    /// retired by a deletion is active again, nothing is assigned,
+    /// watched or marked core.
+    fn rewind(&mut self) {
+        for c in &mut self.clauses {
+            c.active = !c.deleted;
+            c.gen = 0;
+            c.core = false;
+            c.reason_var = 0;
+        }
+        for ws in &mut self.watches {
+            ws.clear();
+        }
+        self.assign.fill(UNDEF);
+        self.reason.fill(NO_REASON);
+        self.trail.clear();
+        self.qhead = 0;
+        self.unit_crefs.clear();
+        self.falsified.clear();
+        self.dirty = false;
+        self.pending = 0;
+        self.core_inputs = 0;
+    }
+
+    /// Marks a clause core, counting new inputs and lemmas still due.
+    fn set_core(&mut self, cref: u32) {
+        let c = &mut self.clauses[cref as usize];
+        if c.core {
+            return;
+        }
+        c.core = true;
+        if c.input {
+            self.core_inputs += 1;
+        } else if !c.verified {
+            self.pending += 1;
+        }
     }
 
     /// Builds watches and enqueues units over the clauses active at the
@@ -479,7 +548,7 @@ impl Checker {
         self.stamp += 1;
         let mut stack: Vec<usize> = Vec::new();
         if let Some(cref) = confl.cause {
-            self.clauses[cref as usize].core = true;
+            self.set_core(cref);
             for &l in &self.clauses[cref as usize].lits {
                 stack.push(l.unsigned_abs() as usize);
             }
@@ -499,7 +568,7 @@ impl Checker {
             if r == NO_REASON {
                 continue;
             }
-            self.clauses[r as usize].core = true;
+            self.set_core(r);
             for &l in &self.clauses[r as usize].lits {
                 stack.push(l.unsigned_abs() as usize);
             }
@@ -559,103 +628,162 @@ impl Checker {
 /// clauses implies [`CheckOutcome::final_clause`] (the last lemma). An
 /// empty final clause certifies the inputs unsatisfiable.
 pub fn check_proof(bytes: &[u8]) -> Result<CheckOutcome, ProofError> {
-    let steps = parse_proof(bytes)?;
-    let mut chk = Checker::default();
-    let mut by_key: HashMap<Vec<i32>, Vec<u32>> = HashMap::new();
-    let mut step_cref: Vec<u32> = Vec::with_capacity(steps.len());
-    let mut last_lemma: Option<usize> = None;
-    let (mut inputs, mut lemmas, mut deletions) = (0usize, 0usize, 0usize);
-    // Forward replay: build the database, resolve each deletion to a
-    // concrete clause copy (multiset semantics).
-    for (i, step) in steps.iter().enumerate() {
-        match step.kind {
-            StepKind::Input | StepKind::Add => {
-                let (key, taut) = normalize(&step.lits);
-                let is_input = step.kind == StepKind::Input;
-                let cref = chk.new_clause(key.clone(), is_input, taut);
-                by_key.entry(key).or_default().push(cref);
-                step_cref.push(cref);
-                if is_input {
-                    inputs += 1;
-                } else {
-                    lemmas += 1;
-                    last_lemma = Some(i);
+    SessionChecker::default().check(bytes)
+}
+
+/// A backward checker that persists across calls on one growing stream
+/// (see the module docs for what it remembers and why that is sound).
+///
+/// Each [`check`](Self::check) certifies the same claim as
+/// [`check_proof`] on the same bytes, with the same error variants, step
+/// indices and byte offsets, all absolute within the stream.
+#[derive(Debug, Default)]
+pub struct SessionChecker {
+    /// The stream bytes consumed so far; the next call must extend them.
+    consumed: Vec<u8>,
+    db: Checker,
+    /// Per step: its kind and the clause it adds or retires.
+    steps: Vec<(StepKind, u32)>,
+    /// Clause copies with no deletion yet, bucketed by normalized-clause
+    /// hash in insertion order (deletions resolve against this multiset).
+    by_key: HashMap<u64, Vec<u32>>,
+    key_hasher: RandomState,
+    last_lemma: Option<usize>,
+    inputs: usize,
+    lemmas: usize,
+    deletions: usize,
+}
+
+impl SessionChecker {
+    /// Creates a checker that has consumed nothing.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Checks the whole stream `bytes`, doing only the work its new
+    /// suffix requires when it extends the stream of the previous call.
+    pub fn check(&mut self, bytes: &[u8]) -> Result<CheckOutcome, ProofError> {
+        if !bytes.starts_with(&self.consumed) {
+            // The consumed prefix changed: nothing learnt from it holds.
+            *self = Self::default();
+        }
+        let out = self
+            .replay_suffix(bytes)
+            .and_then(|()| self.check_backward(bytes));
+        if out.is_err() {
+            *self = Self::default();
+        }
+        out
+    }
+
+    /// Forward replay of the unconsumed suffix: adds its clauses and
+    /// resolves each deletion to a concrete clause copy (multiset
+    /// semantics).
+    fn replay_suffix(&mut self, bytes: &[u8]) -> Result<(), ProofError> {
+        let mut pos = self.consumed.len();
+        let mut lits = Vec::new();
+        while pos < bytes.len() {
+            let offset = pos;
+            lits.clear();
+            let (kind, next) = decode_step(bytes, offset, &mut lits)?;
+            pos = next;
+            let step = self.steps.len();
+            let (key, taut) = normalize(&lits);
+            let hash = self.key_hasher.hash_one(&key);
+            match kind {
+                StepKind::Input | StepKind::Add => {
+                    let is_input = kind == StepKind::Input;
+                    let cref = self.db.new_clause(key, is_input, taut, offset);
+                    self.by_key.entry(hash).or_default().push(cref);
+                    self.steps.push((kind, cref));
+                    if is_input {
+                        self.inputs += 1;
+                    } else {
+                        self.lemmas += 1;
+                        self.last_lemma = Some(step);
+                    }
+                }
+                StepKind::Delete => {
+                    self.deletions += 1;
+                    let clauses = &self.db.clauses;
+                    let same = |c: &u32| clauses[*c as usize].lits == key;
+                    // Prefer retiring a lemma copy over an input copy
+                    // (inputs are axioms; when the producer's root-level
+                    // GC deletes an input clause, its level-0-stripped
+                    // form was also logged as a lemma, so the lemma copy
+                    // is the one to spend).
+                    let found = self.by_key.get_mut(&hash).and_then(|list| {
+                        list.iter()
+                            .rposition(|c| same(c) && !clauses[*c as usize].input)
+                            .or_else(|| list.iter().rposition(same))
+                            .map(|at| list.remove(at))
+                    });
+                    let Some(cref) = found else {
+                        return Err(ProofError::BogusDeletion { step, clause: lits });
+                    };
+                    self.db.clauses[cref as usize].deleted = true;
+                    self.steps.push((kind, cref));
                 }
             }
-            StepKind::Delete => {
-                deletions += 1;
-                let (key, _) = normalize(&step.lits);
-                let cref = match by_key.get_mut(&key) {
-                    Some(list) if !list.is_empty() => {
-                        // Prefer retiring a lemma copy over an input
-                        // copy (inputs are axioms; when the producer's
-                        // root-level GC deletes an input clause, its
-                        // level-0-stripped form was also logged as a
-                        // lemma, so the lemma copy is the one to spend).
-                        let pos = list
-                            .iter()
-                            .rposition(|&c| !chk.clauses[c as usize].input)
-                            .unwrap_or(list.len() - 1);
-                        list.remove(pos)
-                    }
-                    _ => {
-                        return Err(ProofError::BogusDeletion {
-                            step: i,
-                            clause: step.lits.clone(),
-                        })
-                    }
-                };
-                chk.clauses[cref as usize].active = false;
-                step_cref.push(cref);
-            }
         }
+        self.consumed
+            .extend_from_slice(&bytes[self.consumed.len()..]);
+        Ok(())
     }
-    let target = last_lemma.ok_or(ProofError::NoLemma)?;
-    chk.init();
-    chk.clauses[step_cref[target] as usize].core = true;
-    // Backward pass: reactivate deletions, deactivate lemmas, RUP-check
-    // the core ones. Inputs stay active throughout (axioms).
-    for i in (0..steps.len()).rev() {
-        match steps[i].kind {
-            StepKind::Delete => chk.reactivate(step_cref[i]),
-            StepKind::Input => {}
-            StepKind::Add => {
-                let cref = step_cref[i] as usize;
-                let (core, taut) = (chk.clauses[cref].core, chk.clauses[cref].tautology);
-                chk.deactivate(step_cref[i]);
-                if core && !taut {
-                    let lits = chk.clauses[cref].lits.clone();
-                    if !chk.rup_check(&lits) {
-                        return Err(ProofError::LemmaNotImplied {
-                            step: i,
-                            clause: steps[i].lits.clone(),
-                        });
+
+    /// Backward pass: reactivate deletions, deactivate lemmas, RUP-check
+    /// the core ones no earlier call verified. Inputs stay active
+    /// throughout (axioms).
+    fn check_backward(&mut self, bytes: &[u8]) -> Result<CheckOutcome, ProofError> {
+        let target = self.last_lemma.ok_or(ProofError::NoLemma)?;
+        let db = &mut self.db;
+        db.rewind();
+        db.init();
+        let target_cref = self.steps[target].1;
+        db.set_core(target_cref);
+        let mut core_lemmas = 0;
+        for i in (0..self.steps.len()).rev() {
+            if db.pending == 0 {
+                break;
+            }
+            let (kind, cref) = self.steps[i];
+            match kind {
+                StepKind::Delete => db.reactivate(cref),
+                StepKind::Input => {}
+                StepKind::Add => {
+                    let c = &db.clauses[cref as usize];
+                    let due = c.core && !c.verified;
+                    db.deactivate(cref);
+                    if !due {
+                        continue;
                     }
+                    db.pending -= 1;
+                    core_lemmas += 1;
+                    let c = &db.clauses[cref as usize];
+                    if !c.tautology {
+                        let (lits, offset) = (c.lits.clone(), c.offset);
+                        if !db.rup_check(&lits) {
+                            let mut clause = Vec::new();
+                            decode_step(bytes, offset, &mut clause)?;
+                            return Err(ProofError::LemmaNotImplied { step: i, clause });
+                        }
+                    }
+                    db.clauses[cref as usize].verified = true;
                 }
             }
         }
+        let mut final_clause = db.clauses[target_cref as usize].lits.clone();
+        final_clause.sort_unstable();
+        Ok(CheckOutcome {
+            steps: self.steps.len(),
+            inputs: self.inputs,
+            lemmas: self.lemmas,
+            deletions: self.deletions,
+            core_lemmas,
+            core_inputs: db.core_inputs,
+            final_clause,
+        })
     }
-    let mut core_lemmas = 0;
-    let mut core_inputs = 0;
-    for (i, step) in steps.iter().enumerate() {
-        let core = chk.clauses[step_cref[i] as usize].core;
-        match step.kind {
-            StepKind::Add if core => core_lemmas += 1,
-            StepKind::Input if core => core_inputs += 1,
-            _ => {}
-        }
-    }
-    let mut final_clause = chk.clauses[step_cref[target] as usize].lits.clone();
-    final_clause.sort_unstable();
-    Ok(CheckOutcome {
-        steps: steps.len(),
-        inputs,
-        lemmas,
-        deletions,
-        core_lemmas,
-        core_inputs,
-        final_clause,
-    })
 }
 
 #[cfg(test)]

@@ -11,6 +11,15 @@
 //! (proof *trimming*), and reports the used core so unsat cores can be
 //! shrunk and audited.
 //!
+//! An incremental solver certifies many answers from one growing
+//! stream. A [`SessionChecker`] serves such a session: each call checks
+//! that the bytes it consumed before are unchanged (else it starts
+//! over), parses and replays only the appended steps, and RUP-checks
+//! only core lemmas that no earlier call verified. A verified lemma
+//! stays verified as the stream grows: the steps before it are
+//! byte-identical and later steps only add axioms. [`check_proof`] is
+//! the one-call case.
+//!
 //! The format (see [`fmt`]) extends binary DRAT with an input tag so a
 //! single stream can interleave formula growth with derivation — which is
 //! what an incremental solver does across `push`/`pop` scopes. Input
@@ -23,7 +32,7 @@ mod check;
 mod parse;
 mod writer;
 
-pub use check::{check_proof, CheckOutcome};
+pub use check::{check_proof, CheckOutcome, SessionChecker};
 pub use parse::{parse_proof, Step, StepKind};
 pub use writer::ProofWriter;
 

@@ -29,31 +29,43 @@ pub fn parse_proof(bytes: &[u8]) -> Result<Vec<Step>, ProofError> {
     let mut steps = Vec::new();
     let mut pos = 0usize;
     while pos < bytes.len() {
-        let kind = match bytes[pos] {
-            TAG_INPUT => StepKind::Input,
-            TAG_ADD => StepKind::Add,
-            TAG_DELETE => StepKind::Delete,
-            _ => {
-                return Err(ProofError::Malformed {
-                    offset: pos,
-                    detail: "unknown step tag",
-                })
-            }
-        };
-        pos += 1;
         let mut lits = Vec::new();
-        loop {
-            let (next, lit) = decode_lit(bytes, pos)
-                .map_err(|(offset, detail)| ProofError::Malformed { offset, detail })?;
-            pos = next;
-            match lit {
-                Some(l) => lits.push(l),
-                None => break,
-            }
-        }
+        let (kind, next) = decode_step(bytes, pos, &mut lits)?;
+        pos = next;
         steps.push(Step { kind, lits });
     }
     Ok(steps)
+}
+
+/// Decodes the step starting at byte `pos`, appending its literals to
+/// `lits`. Returns the step kind and the offset just past its
+/// terminator; errors carry absolute offsets within `bytes`.
+pub(crate) fn decode_step(
+    bytes: &[u8],
+    pos: usize,
+    lits: &mut Vec<i32>,
+) -> Result<(StepKind, usize), ProofError> {
+    let kind = match bytes[pos] {
+        TAG_INPUT => StepKind::Input,
+        TAG_ADD => StepKind::Add,
+        TAG_DELETE => StepKind::Delete,
+        _ => {
+            return Err(ProofError::Malformed {
+                offset: pos,
+                detail: "unknown step tag",
+            })
+        }
+    };
+    let mut pos = pos + 1;
+    loop {
+        let (next, lit) = decode_lit(bytes, pos)
+            .map_err(|(offset, detail)| ProofError::Malformed { offset, detail })?;
+        pos = next;
+        match lit {
+            Some(l) => lits.push(l),
+            None => return Ok((kind, pos)),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -33,6 +33,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use hk_proof::SessionChecker;
+
 use crate::ackermann::{Ackermann, AppInstance};
 use crate::analysis::{self, SimplifyOutcome};
 use crate::bitblast::BitBlaster;
@@ -212,9 +214,8 @@ pub struct SolverStats {
     pub proof_bytes: u64,
     /// Proof-checker runs in this call (0 or 1).
     pub proofs_checked: u64,
-    /// Lemmas the checker saw in this call's check run.
-    pub proof_lemmas: u64,
-    /// Lemmas on the trimmed core of this call's check run.
+    /// Core lemmas the checker RUP-verified in this call (an incremental
+    /// session skips lemmas an earlier call already verified).
     pub proof_core_steps: u64,
     /// Time spent in the independent proof checker.
     pub proof_check_time: Duration,
@@ -303,9 +304,7 @@ pub struct SolverTotals {
     pub proof_bytes: u64,
     /// Proof-checker runs.
     pub proofs_checked: u64,
-    /// Lemmas seen across check runs.
-    pub proof_lemmas: u64,
-    /// Lemmas on trimmed cores across check runs.
+    /// Core lemmas RUP-verified across check runs.
     pub proof_core_steps: u64,
     /// Total proof-checking time.
     pub proof_check_time: Duration,
@@ -361,7 +360,6 @@ impl SolverTotals {
         self.proof_steps += s.proof_steps;
         self.proof_bytes += s.proof_bytes;
         self.proofs_checked += s.proofs_checked;
-        self.proof_lemmas += s.proof_lemmas;
         self.proof_core_steps += s.proof_core_steps;
         self.proof_check_time += s.proof_check_time;
         self.simplify_time += s.simplify_time;
@@ -407,6 +405,9 @@ struct Engine {
     proof_steps_snap: u64,
     /// Proof bytes emitted as of the end of the previous `check`.
     proof_bytes_snap: u64,
+    /// Certifies each `Unsat` by checking only what the session's proof
+    /// stream gained since the previous one.
+    checker: SessionChecker,
 }
 
 /// An SMT solver instance holding a set of assertions.
@@ -630,14 +631,18 @@ impl Solver {
     /// refutation; the empty clause is always acceptable as stronger),
     /// and fills the proof-checking stats. Panics on a rejected or
     /// off-target proof — the Unsat twin of failed model validation.
-    fn certify_unsat(stats: &mut SolverStats, proof_bytes: &[u8], expected: &[i32]) {
+    fn certify_unsat(
+        stats: &mut SolverStats,
+        checker: &mut SessionChecker,
+        proof_bytes: &[u8],
+        expected: &[i32],
+    ) {
         let check_start = Instant::now();
-        let out = hk_proof::check_proof(proof_bytes).unwrap_or_else(|e| {
+        let out = checker.check(proof_bytes).unwrap_or_else(|e| {
             panic!("certified-unsat check failed: independent checker rejected the proof: {e}")
         });
         stats.proof_check_time = check_start.elapsed();
         stats.proofs_checked = 1;
-        stats.proof_lemmas = out.lemmas as u64;
         stats.proof_core_steps = out.core_lemmas as u64;
         let mut want = expected.to_vec();
         want.sort_unstable();
@@ -696,7 +701,6 @@ impl Solver {
                 panic!("cube certify failed: independent checker rejected the proof: {e}")
             });
             stats.proofs_checked += 1;
-            stats.proof_lemmas += out.lemmas as u64;
             stats.proof_core_steps += out.core_lemmas as u64;
             assert!(
                 cert.failed
@@ -782,6 +786,7 @@ impl Solver {
                 snap: SatStats::default(),
                 proof_steps_snap: 0,
                 proof_bytes_snap: 0,
+                checker: SessionChecker::new(),
             });
         }
         let encode_start = Instant::now();
@@ -900,9 +905,8 @@ impl Solver {
                             .sat
                             .proof()
                             .expect("certify implies proof logging")
-                            .bytes()
-                            .to_vec();
-                        Self::certify_unsat(&mut self.stats, &proof, &expected);
+                            .bytes();
+                        Self::certify_unsat(&mut self.stats, &mut engine.checker, proof, &expected);
                     }
                 }
                 SatResult::Unsat
@@ -1035,7 +1039,12 @@ impl Solver {
                         // An unassumed refutation always concludes the
                         // empty clause.
                         let proof = sat.proof().expect("certify implies proof logging").bytes();
-                        Self::certify_unsat(&mut self.stats, proof, &[]);
+                        Self::certify_unsat(
+                            &mut self.stats,
+                            &mut SessionChecker::new(),
+                            proof,
+                            &[],
+                        );
                     }
                 }
                 SatResult::Unsat
